@@ -15,20 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .vqae import GRADIENT_MODES, VqaeModel
+from .vqae import GRADIENT_MODES, ModelValidationError, VqaeModel, decompress
 
 SLAR_MAGIC = b"SLAR"
 SLAR_VERSION = 1
 SLVQ_MAGIC = b"SLVQ"
 SLVQ_VERSION = 1
 
-CODEC_VQAE = 0
-CODEC_TOPK = 1
-CODEC_QUANT = 2
-CODEC_PCA = 3
-CODEC_VQ_NO_AE = 4
-CODEC_TOPK_VQ = 5
-CODEC_IDS = (CODEC_VQAE, CODEC_TOPK, CODEC_QUANT, CODEC_PCA, CODEC_VQ_NO_AE, CODEC_TOPK_VQ)
+CODEC_VQAE = 0   # the only codec a SLAR archive carries
 
 
 class ArchiveError(ValueError):
@@ -81,21 +75,19 @@ class CompressedArchive:
     header: dict
     arrays: dict = field(default_factory=dict)        # name -> float64 ndarray (stored f32)
     packed: dict = field(default_factory=dict)        # name -> (indices, bits)
-    version: int = SLAR_VERSION
 
     def __post_init__(self):
-        if self.codec_id not in CODEC_IDS:
+        if self.codec_id != CODEC_VQAE:
             raise ArchiveError(f"unknown codec id {self.codec_id}")
 
 
-def vqae_archive(model: VqaeModel, indices: np.ndarray, epsilon: float = 1e-8,
-                 codec_id: int = CODEC_VQAE) -> CompressedArchive:
+def vqae_archive(model: VqaeModel, indices: np.ndarray, epsilon: float = 1e-8) -> CompressedArchive:
     """Bundle what the decoder side needs: indices, codebook, and decoder."""
     bits = max(1, (model.k - 1).bit_length())
     header = {"c": model.c, "d_h": model.d_h, "d_c": model.d_c, "k": model.k,
               "n": int(np.asarray(indices).shape[0]), "epsilon": epsilon}
     return CompressedArchive(
-        codec_id=codec_id,
+        codec_id=CODEC_VQAE,
         header=header,
         arrays={"codebook": model.codebook, "decoder": model.decoder},
         packed={"indices": (np.asarray(indices), bits)},
@@ -103,17 +95,17 @@ def vqae_archive(model: VqaeModel, indices: np.ndarray, epsilon: float = 1e-8,
 
 
 def decompress_vqae_archive(archive: CompressedArchive):
-    """Reconstruct labels from a VQAE archive without the encoder."""
-    from .vqae import SoftLabelMatrix, decode, renormalize
-
+    """Reconstruct labels from a VQAE archive with a decode-side model."""
     h = archive.header
-    codebook = archive.arrays["codebook"]
-    decoder = archive.arrays["decoder"]
-    indices, _ = archive.packed["indices"]
-    if indices.size and indices.max() >= h["k"]:
-        raise ArchiveError("archive contains out-of-range code indices")
-    h_hat = codebook[indices].reshape(indices.shape[0], h["d_h"])
-    return SoftLabelMatrix(renormalize(h_hat @ decoder, h["epsilon"]))
+    try:
+        model = VqaeModel(None, archive.arrays["decoder"], archive.arrays["codebook"])
+        stored = {"c": model.c, "d_h": model.d_h, "d_c": model.d_c, "k": model.k}
+        wrong = [key for key, value in stored.items() if h[key] != value]
+        if wrong:
+            raise ArchiveError(f"header {', '.join(wrong)} disagree with the stored sections")
+        return decompress(archive.packed["indices"][0], model, h["epsilon"])
+    except (KeyError, TypeError, ModelValidationError) as err:
+        raise ArchiveError(f"malformed VQAE archive ({type(err).__name__}: {err})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +118,7 @@ def decompress_vqae_archive(archive: CompressedArchive):
 # ---------------------------------------------------------------------------
 
 def _encode_archive(archive: CompressedArchive) -> bytes:
-    parts = [SLAR_MAGIC, struct.pack("<HB", archive.version, archive.codec_id)]
+    parts = [SLAR_MAGIC, struct.pack("<HB", SLAR_VERSION, archive.codec_id)]
     header_blob = json.dumps(archive.header, sort_keys=True).encode()
     parts.append(struct.pack("<I", len(header_blob)))
     parts.append(header_blob)
@@ -163,46 +155,42 @@ def read_archive(path) -> CompressedArchive:
     body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(body) != crc:
         raise ArchiveError(f"{path}: CRC32 mismatch, file corrupted")
-    off = 4
-    version, codec_id = struct.unpack_from("<HB", body, off)
-    off += 3
+    try:
+        return _decode_body(body)
+    except (struct.error, ValueError) as err:   # JSON, UTF-8 and ArchiveError are ValueErrors
+        raise ArchiveError(f"{path}: {err}") from None
+
+
+def _decode_body(body: bytes) -> CompressedArchive:
+    view, off = memoryview(body), 4   # slices of a memoryview copy nothing
+
+    def take_bytes(size):
+        nonlocal off
+        off += size
+        return view[off - size:off]
+
+    def take(fmt):
+        return struct.unpack(fmt, take_bytes(struct.calcsize(fmt)))
+
+    version, codec_id = take("<HB")
     if version != SLAR_VERSION:
-        raise ArchiveError(f"{path}: unsupported version {version}")
-    (hlen,) = struct.unpack_from("<I", body, off)
-    off += 4
-    header = json.loads(body[off:off + hlen].decode())
-    off += hlen
-    (n_arrays,) = struct.unpack_from("<H", body, off)
-    off += 2
-    arrays = {}
-    for _ in range(n_arrays):
-        (nlen,) = struct.unpack_from("<H", body, off)
-        off += 2
-        name = body[off:off + nlen].decode()
-        off += nlen
-        rows, cols = struct.unpack_from("<II", body, off)
-        off += 8
-        nbytes = rows * cols * 4
-        arrays[name] = np.frombuffer(body, dtype="<f4", count=rows * cols,
-                                     offset=off).reshape(rows, cols).astype(np.float64)
-        off += nbytes
-    (n_packed,) = struct.unpack_from("<H", body, off)
-    off += 2
-    packed = {}
-    for _ in range(n_packed):
-        (nlen,) = struct.unpack_from("<H", body, off)
-        off += 2
-        name = body[off:off + nlen].decode()
-        off += nlen
-        n, m, bits = struct.unpack_from("<IIB", body, off)
-        off += 9
-        nbytes = n * packed_row_bytes(m, bits)
-        packed[name] = (unpack_indices(body[off:off + nbytes], n, m, bits), bits)
-        off += nbytes
+        raise ArchiveError(f"unsupported version {version}")
+    header = json.loads(str(take_bytes(*take("<I")), "utf-8"))
+    if not isinstance(header, dict):
+        raise ArchiveError("header is not a JSON object")
+    arrays, packed = {}, {}
+    for _ in range(*take("<H")):
+        name = str(take_bytes(*take("<H")), "utf-8")
+        rows, cols = take("<II")
+        data = np.frombuffer(take_bytes(rows * cols * 4), dtype="<f4")
+        arrays[name] = data.reshape(rows, cols).astype(np.float64)
+    for _ in range(*take("<H")):
+        name = str(take_bytes(*take("<H")), "utf-8")
+        n, m, bits = take("<IIB")
+        packed[name] = (unpack_indices(take_bytes(n * packed_row_bytes(m, bits)), n, m, bits), bits)
     if off != len(body):
-        raise ArchiveError(f"{path}: {len(body) - off} trailing bytes")
-    return CompressedArchive(codec_id=codec_id, header=header, arrays=arrays,
-                             packed=packed, version=version)
+        raise ArchiveError(f"{len(body) - off} trailing bytes")
+    return CompressedArchive(codec_id=codec_id, header=header, arrays=arrays, packed=packed)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +215,8 @@ def read_model(path):
         blob = f.read()
     if blob[:4] != SLVQ_MAGIC:
         raise ArchiveError(f"{path}: not a SLVQ model file")
+    if len(blob) < 4 + struct.calcsize("<HIIIIBd"):
+        raise ArchiveError(f"{path}: truncated header ({len(blob)} bytes)")
     version, c, d_h, d_c, k, mode_code, epsilon = struct.unpack_from("<HIIIIBd", blob, 4)
     if version != SLVQ_VERSION:
         raise ArchiveError(f"{path}: unsupported version {version}")

@@ -13,8 +13,10 @@ from .vqae import (
     ModelValidationError,
     TrainConfig,
     VqaeModel,
+    _sample_segments,
     fit,
     renormalize,
+    topk_scatter,
     topk_select,
 )
 
@@ -40,8 +42,7 @@ def topk_compress(labels: SoftLabelMatrix, k_top: int) -> TopkArchive:
 
 
 def topk_decompress(archive: TopkArchive, epsilon: float = 1e-8) -> SoftLabelMatrix:
-    full = np.zeros((archive.values.shape[0], archive.num_classes), dtype=np.float64)
-    np.put_along_axis(full, archive.class_indices, archive.values, axis=1)
+    full = topk_scatter(archive.values, archive.class_indices, archive.num_classes)
     return SoftLabelMatrix(renormalize(full, epsilon))
 
 
@@ -183,9 +184,7 @@ def vq_no_ae_fit(labels: SoftLabelMatrix, d_c: int, k: int,
     if c % d_c != 0:
         raise ModelValidationError(f"c={c} not divisible by d_c={d_c}")
     rng = np.random.default_rng(config.seed)
-    segs = labels.data.reshape(-1, d_c)
-    picks = rng.choice(segs.shape[0], size=k, replace=segs.shape[0] < k)
-    codebook = segs[picks] + 1e-4 * rng.standard_normal((k, d_c))
+    codebook = _sample_segments(labels.data.reshape(-1, d_c), k, rng, jitter=1e-4)
     identity = np.eye(c)
     init = VqaeModel(identity, identity, codebook)
     return fit(labels, c, d_c, k, config, trainable=("codebook",), init_model=init)

@@ -275,12 +275,17 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub = _build_parser()
     try:
-        if "--config" in argv:
-            cfg_path = argv[argv.index("--config") + 1]
+        # --config is read first, in either form, so its values become defaults
+        pre = _Parser(add_help=False, allow_abbrev=False)
+        pre.add_argument("--config")
+        cfg_path = pre.parse_known_args(argv)[0].config
+        if cfg_path is not None:
             try:
                 with open(cfg_path) as f:
                     defaults = json.load(f)
-            except (OSError, json.JSONDecodeError) as err:
+                if not isinstance(defaults, dict):
+                    raise ValueError("not a JSON object")
+            except (OSError, ValueError) as err:   # ValueError covers JSON and UTF-8 errors
                 print(f"error: cannot read config {cfg_path}: {err}", file=sys.stderr)
                 return EXIT_DATA
             # subcommand parsers re-apply their own defaults over the top-level

@@ -161,6 +161,8 @@ def read_slab(path) -> SoftLabelMatrix:
         blob = f.read()
     if blob[:4] != SLAB_MAGIC:
         raise LabelFileError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 15:
+        raise LabelFileError(f"{path}: truncated header ({len(blob)} bytes)")
     version, c, n, prec_code = struct.unpack_from("<HIIB", blob, 4)
     if version != SLAB_VERSION:
         raise LabelFileError(f"{path}: unsupported SLAB version {version}")

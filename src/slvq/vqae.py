@@ -35,37 +35,39 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class VqaeModel:
-    """Linear encoder P (c x d_h), decoder D (d_h x c), codebook (k x d_c)."""
+    """Linear encoder P (c x d_h), decoder D (d_h x c), codebook (k x d_c).
+    A decode-side model (what ships with compressed labels) has encoder None."""
 
-    encoder: np.ndarray
+    encoder: np.ndarray | None
     decoder: np.ndarray
     codebook: np.ndarray
 
     def __post_init__(self):
-        for name in ("encoder", "decoder", "codebook"):
+        names = ("decoder", "codebook") if self.encoder is None else ("encoder", "decoder", "codebook")
+        for name in names:
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, arr)
             if arr.ndim != 2:
                 raise ModelValidationError(f"{name} must be 2-D, got shape {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ModelValidationError(f"{name} contains non-finite entries")
-        c, d_h = self.encoder.shape
-        if self.decoder.shape != (d_h, c):
+        d_h, c = self.decoder.shape
+        if self.encoder is not None and self.encoder.shape != (c, d_h):
             raise ModelValidationError(
                 f"decoder shape {self.decoder.shape} does not match encoder {self.encoder.shape}")
         k, d_c = self.codebook.shape
-        if k < 1:
-            raise ModelValidationError("codebook must have at least one code")
+        if k < 1 or d_c < 1:
+            raise ModelValidationError(f"codebook must be at least 1 x 1, got {k} x {d_c}")
         if d_h % d_c != 0:
             raise ModelValidationError(f"d_h={d_h} not divisible by d_c={d_c}")
 
     @property
     def c(self) -> int:
-        return self.encoder.shape[0]
+        return self.decoder.shape[1]
 
     @property
     def d_h(self) -> int:
-        return self.encoder.shape[1]
+        return self.decoder.shape[0]
 
     @property
     def d_c(self) -> int:
@@ -125,8 +127,15 @@ class TrainTrace:
 
 
 def _as_rows(y) -> np.ndarray:
-    arr = np.asarray(y, dtype=np.float64)
+    """Rows of a SoftLabelMatrix or of any 1-D / 2-D float array."""
+    arr = y.data if isinstance(y, SoftLabelMatrix) else np.ascontiguousarray(y, dtype=np.float64)
     return arr.reshape(1, -1) if arr.ndim == 1 else arr
+
+
+def _encoder(model: VqaeModel) -> np.ndarray:
+    if model.encoder is None:
+        raise ModelValidationError("a decode-side model has no encoder")
+    return model.encoder
 
 
 def encode(y, model: VqaeModel) -> np.ndarray:
@@ -134,7 +143,7 @@ def encode(y, model: VqaeModel) -> np.ndarray:
     arr = np.asarray(y, dtype=np.float64)
     if arr.shape[-1] != model.c:
         raise ModelValidationError(f"expected {model.c} classes, got {arr.shape[-1]}")
-    return arr @ model.encoder
+    return arr @ _encoder(model)
 
 
 def quantize_latent(h, model: VqaeModel):
@@ -183,13 +192,6 @@ def renormalize(y_hat, epsilon: float = 1e-8) -> np.ndarray:
     return clamped / clamped.sum(axis=-1, keepdims=True)
 
 
-def _forward(Y: np.ndarray, model: VqaeModel):
-    H = Y @ model.encoder
-    indices, H_hat = quantize_latent(H, model)
-    Y_hat = H_hat @ model.decoder
-    return H, indices, H_hat, Y_hat
-
-
 def cache_loss_and_grads(batch, model: VqaeModel, config: TrainConfig):
     """Caching loss (VQ + commitment + reconstruction) and its analytic grads.
 
@@ -207,13 +209,15 @@ def cache_loss_and_grads(batch, model: VqaeModel, config: TrainConfig):
 
 
 def _cache_loss_grads_aux(batch, model: VqaeModel, config: TrainConfig):
-    Y = batch.data if isinstance(batch, SoftLabelMatrix) else _as_rows(batch)
+    Y = _as_rows(batch)
     if Y.shape[0] == 0:
         raise ModelValidationError("batch must be nonempty")
     if Y.shape[1] != model.c:
         raise ModelValidationError(f"expected {model.c} classes, got {Y.shape[1]}")
     n = Y.shape[0]
-    H, indices, H_hat, Y_hat = _forward(Y, model)
+    H = Y @ _encoder(model)
+    indices, H_hat = quantize_latent(H, model)
+    Y_hat = H_hat @ model.decoder
 
     R = Y_hat - Y
     l_rec = float(np.einsum("nc,nc->", R, R)) / n
@@ -251,15 +255,18 @@ def _init_model(Y: np.ndarray, d_h: int, d_c: int, k: int, rng: np.random.Genera
         raise ModelValidationError(f"d_h={d_h} not divisible by d_c={d_c}")
     P = rng.uniform(-scale, scale, size=(c, d_h)) / np.sqrt(c)
     D = rng.uniform(-scale, scale, size=(d_h, c)) / np.sqrt(d_h)
-    segs = (Y @ P).reshape(-1, d_c)
-    picks = rng.choice(segs.shape[0], size=k, replace=segs.shape[0] < k)
-    codebook = segs[picks].copy()
     # tiny jitter so duplicate source rows cannot produce identical codes
-    codebook += 1e-4 * rng.standard_normal(codebook.shape)
-    return VqaeModel(P, D, codebook)
+    return VqaeModel(P, D, _sample_segments((Y @ P).reshape(-1, d_c), k, rng, jitter=1e-4))
 
 
-def fit(labels: SoftLabelMatrix, d_h: int, d_c: int, k: int,
+def _sample_segments(segs, count: int, rng: np.random.Generator, jitter: float = 0.0):
+    """``count`` rows of ``segs`` (with replacement only if too few), plus jitter * N(0, 1)."""
+    picks = rng.choice(segs.shape[0], size=count, replace=segs.shape[0] < count)
+    sample = segs[picks]
+    return sample + jitter * rng.standard_normal(sample.shape) if jitter else sample
+
+
+def fit(labels: SoftLabelMatrix | np.ndarray, d_h: int, d_c: int, k: int,
         config: TrainConfig = TrainConfig(), *, trainable=("encoder", "decoder", "codebook"),
         init_model: VqaeModel | None = None):
     """Train the codec on cached soft labels with decoupled-weight-decay Adam.
@@ -269,14 +276,14 @@ def fit(labels: SoftLabelMatrix, d_h: int, d_c: int, k: int,
     """
     from .optim import AdamW
 
-    Y = labels.data
+    Y = _as_rows(labels)
     if Y.shape[0] < config.batch_size:
         raise ModelValidationError(
             f"need n >= batch_size, got n={Y.shape[0]}, batch_size={config.batch_size}")
     rng = np.random.default_rng(config.seed)
     model = _init_model(Y, d_h, d_c, k, rng, config.init_scale) if init_model is None else init_model
     params = {
-        "encoder": model.encoder.copy(),
+        "encoder": _encoder(model).copy(),
         "decoder": model.decoder.copy(),
         "codebook": model.codebook.copy(),
     }
@@ -312,9 +319,8 @@ def _reinit_dead_codes(params, Y, epoch_usage, rng):
     if dead.size == 0:
         return
     d_c = params["codebook"].shape[1]
-    segs = (Y @ params["encoder"]).reshape(-1, d_c)
-    picks = rng.choice(segs.shape[0], size=dead.size, replace=segs.shape[0] < dead.size)
-    params["codebook"][dead] = segs[picks]
+    params["codebook"][dead] = _sample_segments((Y @ params["encoder"]).reshape(-1, d_c),
+                                                dead.size, rng)
 
 
 def refit_decoder(labels: SoftLabelMatrix, model: VqaeModel) -> VqaeModel:
@@ -331,25 +337,28 @@ def refit_decoder(labels: SoftLabelMatrix, model: VqaeModel) -> VqaeModel:
     return VqaeModel(model.encoder, D_star, model.codebook)
 
 
-def compress(labels: SoftLabelMatrix, model: VqaeModel) -> np.ndarray:
+def compress(labels: SoftLabelMatrix | np.ndarray, model: VqaeModel) -> np.ndarray:
     """Quantize every label row; returns the n x m integer code-index matrix."""
-    if labels.c != model.c:
-        raise ModelValidationError(f"label c={labels.c} does not match model c={model.c}")
-    if labels.n == 0:
-        return np.zeros((0, model.m), dtype=np.int64)
-    indices, _ = quantize_latent(encode(labels.data, model), model)
+    Y = _as_rows(labels)
+    if Y.ndim != 2 or Y.shape[1] != model.c:
+        raise ModelValidationError(f"expected n x {model.c} rows, got shape {Y.shape}")
+    indices, _ = quantize_latent(encode(Y, model), model)
     return indices.astype(np.int64)
 
 
-def decompress(indices: np.ndarray, model: VqaeModel, epsilon: float = 1e-8) -> SoftLabelMatrix:
-    """Reconstruct soft labels from code indices: lookup, decode, renormalize."""
+def _decode_codes(indices, model: VqaeModel) -> np.ndarray:
+    """The one decode path for VQ codes: check, look up, decode (no renormalize)."""
     indices = np.asarray(indices)
     if indices.ndim != 2 or indices.shape[1] != model.m:
         raise ModelValidationError(f"index matrix must be n x {model.m}, got {indices.shape}")
     if indices.size and (indices.min() < 0 or indices.max() >= model.k):
         raise ModelValidationError(f"code index out of range [0, {model.k})")
-    h_hat = model.codebook[indices].reshape(indices.shape[0], model.d_h)
-    return SoftLabelMatrix(renormalize(decode(h_hat, model), epsilon))
+    return decode(model.codebook[indices].reshape(indices.shape[0], model.d_h), model)
+
+
+def decompress(indices: np.ndarray, model: VqaeModel, epsilon: float = 1e-8) -> SoftLabelMatrix:
+    """Reconstruct soft labels from code indices: lookup, decode, renormalize."""
+    return SoftLabelMatrix(renormalize(_decode_codes(indices, model), epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -377,42 +386,35 @@ def topk_select(data: np.ndarray, k_top: int):
     return values, order
 
 
+def topk_scatter(values, class_indices, num_classes: int) -> np.ndarray:
+    """Inverse of topk_select: values at their class indices in zero rows of num_classes."""
+    values, class_indices = np.asarray(values, dtype=np.float64), np.asarray(class_indices)
+    if class_indices.shape != values.shape:
+        raise ModelValidationError(
+            f"class index shape {class_indices.shape} does not match values {values.shape}")
+    if class_indices.size and (class_indices.min() < 0 or class_indices.max() >= num_classes):
+        raise ModelValidationError(f"class index out of range [0, {num_classes})")
+    full = np.zeros((values.shape[0], num_classes), dtype=np.float64)
+    np.put_along_axis(full, class_indices, values, axis=1)
+    return full
+
+
 def topk_then_vq_fit(labels: SoftLabelMatrix, k_top: int, d_h: int, d_c: int, k: int,
                      config: TrainConfig = TrainConfig()):
     """Fit the composed codec on the k_top-dimensional top-value vectors."""
     values, _ = topk_select(labels.data, k_top)
-    fitted, trace = fit(_RawMatrix(values), d_h, d_c, k, config)
+    fitted, trace = fit(values, d_h, d_c, k, config)
     return TopkVqModel(k_top, labels.c, fitted, config.epsilon), trace
-
-
-class _RawMatrix:
-    """Duck-typed stand-in so fit() can train on non-simplex value vectors."""
-
-    def __init__(self, data):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
-
-    @property
-    def n(self):
-        return self.data.shape[0]
-
-    @property
-    def c(self):
-        return self.data.shape[1]
 
 
 def topk_then_vq_compress(labels: SoftLabelMatrix, model: TopkVqModel):
     """Returns (vq_indices n x m, class_indices n x k_top)."""
     values, classes = topk_select(labels.data, model.k_top)
-    indices, _ = quantize_latent(values @ model.vqae.encoder, model.vqae)
-    return indices.astype(np.int64), classes.astype(np.int64)
+    return compress(values, model.vqae), classes.astype(np.int64)
 
 
 def topk_then_vq_decompress(vq_indices, class_indices, model: TopkVqModel) -> SoftLabelMatrix:
     """Decode values, scatter them back to their classes, renormalize."""
-    vq_indices = np.asarray(vq_indices)
-    class_indices = np.asarray(class_indices)
-    h_hat = model.vqae.codebook[vq_indices].reshape(vq_indices.shape[0], model.vqae.d_h)
-    values = h_hat @ model.vqae.decoder
-    full = np.zeros((vq_indices.shape[0], model.num_classes), dtype=np.float64)
-    np.put_along_axis(full, class_indices, values, axis=1)
-    return SoftLabelMatrix(renormalize(full, model.epsilon))
+    values = _decode_codes(vq_indices, model.vqae)
+    return SoftLabelMatrix(renormalize(topk_scatter(values, class_indices, model.num_classes),
+                                       model.epsilon))

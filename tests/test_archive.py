@@ -1,9 +1,15 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slvq.archive import (
+    CODEC_VQAE,
+    SLAR_MAGIC,
+    SLAR_VERSION,
     ArchiveError,
     CompressedArchive,
     _encode_archive,
@@ -30,6 +36,40 @@ def f32_model(rng, c=6, d_h=8, d_c=4, k=5):
         rng.standard_normal((d_h, c)).astype(np.float32).astype(np.float64),
         rng.standard_normal((k, d_c)).astype(np.float32).astype(np.float64),
     )
+
+
+def crafted_slar(header_blob: bytes, tail: bytes = b"\x00\x00\x00\x00") -> bytes:
+    """A CRC-valid SLAR file with raw header bytes; the default tail declares
+    no arrays and no packed sections."""
+    body = (SLAR_MAGIC + struct.pack("<HBI", SLAR_VERSION, CODEC_VQAE, len(header_blob))
+            + header_blob + tail)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def vqae_slar_with_header(rng, edit) -> bytes:
+    """A CRC-valid SLAR file of a real VQAE archive whose header ``edit`` changed."""
+    model = f32_model(rng)
+    archive = vqae_archive(model, compress(random_labels(rng, 10, 6), model))
+    header = dict(archive.header)
+    edit(header)
+    return _encode_archive(CompressedArchive(CODEC_VQAE, header, archive.arrays, archive.packed))
+
+
+MALFORMED_BODIES = {
+    "bad json": crafted_slar(b"{not json"),
+    "non-utf8 header": crafted_slar(b"\xff\xfe"),
+    "header not an object": crafted_slar(b"[1, 2]"),
+    "array count past end": crafted_slar(b"{}", b"\x05\x00"),
+    "array data past end": crafted_slar(
+        b"{}", struct.pack("<HH", 1, 1) + b"a" + struct.pack("<II", 1000, 1000)),
+}
+
+HEADER_EDITS = {
+    "mismatched d_h": lambda h: h.update(d_h=h["d_h"] * 2),
+    "missing k": lambda h: h.pop("k"),
+    "mismatched c": lambda h: h.update(c=h["c"] + 1),
+    "epsilon not a number": lambda h: h.update(epsilon="tiny"),
+}
 
 
 class TestBitPacking:
@@ -139,6 +179,22 @@ class TestArchiveContainer:
             decompress_vqae_archive(bad)
 
 
+class TestMalformedArchives:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_BODIES))
+    def test_unparseable_body_raises_archive_error(self, name, tmp_path):
+        path = tmp_path / "bad.slar"
+        path.write_bytes(MALFORMED_BODIES[name])
+        with pytest.raises(ArchiveError):
+            read_archive(path)
+
+    @pytest.mark.parametrize("name", sorted(HEADER_EDITS))
+    def test_inconsistent_header_raises_archive_error(self, rng, name, tmp_path):
+        path = tmp_path / "bad.slar"
+        path.write_bytes(vqae_slar_with_header(rng, HEADER_EDITS[name]))
+        with pytest.raises(ArchiveError):
+            decompress_vqae_archive(read_archive(path))
+
+
 class TestModelFile:
     def test_roundtrip(self, rng, tmp_path):
         model = f32_model(rng)
@@ -162,5 +218,11 @@ class TestModelFile:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.slvq"
         path.write_bytes(b"XXXX" + b"\x00" * 40)
+        with pytest.raises(ArchiveError):
+            read_model(path)
+
+    def test_shorter_than_header(self, tmp_path):
+        path = tmp_path / "short.slvq"
+        path.write_bytes(b"SLVQ" + b"\x01" * 6)
         with pytest.raises(ArchiveError):
             read_model(path)

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from slvq.archive import write_model
 from slvq.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from slvq.labels import SoftLabelMatrix, read_slab, write_slab
 
 from conftest import random_labels
+from test_archive import HEADER_EDITS, MALFORMED_BODIES, f32_model, vqae_slar_with_header
 
 
 @pytest.fixture
@@ -118,12 +120,57 @@ class TestErrorPaths:
         code, _, _ = run(capsys, "--config", str(cfg), "tables")
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("content", [b"[1, 2]", b"\xff\xfe"], ids=["not an object", "not utf-8"])
+    def test_config_file_not_a_json_object(self, capsys, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code, _, err = run(capsys, "--config", str(cfg), "tables")
+        assert code == EXIT_DATA
+        assert err.startswith("error:")
+
+    def test_config_without_value(self, capsys):
+        code, _, err = run(capsys, "tables", "--config")
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("edit", [None, HEADER_EDITS["mismatched d_h"], HEADER_EDITS["missing k"]],
+                             ids=["bad json header", "mismatched d_h", "missing k"])
+    def test_crafted_archive(self, capsys, rng, tmp_path, edit):
+        bad = tmp_path / "bad.slar"
+        bad.write_bytes(MALFORMED_BODIES["bad json"] if edit is None
+                        else vqae_slar_with_header(rng, edit))
+        code, _, err = run(capsys, "decompress", "--archive", str(bad),
+                           "--out", str(tmp_path / "o.slab"))
+        assert code == EXIT_DATA
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("short", ["labels", "model"])
+    def test_file_shorter_than_header(self, capsys, rng, tmp_path, label_file, short):
+        paths = {"labels": label_file, "model": tmp_path / "m.slvq"}
+        write_model(f32_model(rng, c=10, d_h=4, d_c=2, k=4), paths["model"])
+        magic = {"labels": b"SLAB", "model": b"SLVQ"}[short]
+        paths[short] = tmp_path / f"short.{short}"
+        paths[short].write_bytes(magic + b"\x01" * 6)
+        code, _, err = run(capsys, "compress", "--labels", str(paths["labels"]),
+                           "--model", str(paths["model"]), "--out", str(tmp_path / "o.slar"))
+        assert code == EXIT_DATA
+        assert err.startswith("error:")
+
 
 class TestConfigAndSeed:
     def test_config_file_sets_defaults(self, capsys, label_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"steps": 25}))
         code, out, _ = run(capsys, "--config", str(cfg), "fit", "--labels",
+                           str(label_file), "--out", str(tmp_path / "m.slvq"),
+                           "--d-h", "4", "--d-c", "2", "--k", "4", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["steps"] == 25
+
+    def test_config_equals_form(self, capsys, label_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 25}))
+        code, out, _ = run(capsys, f"--config={cfg}", "fit", "--labels",
                            str(label_file), "--out", str(tmp_path / "m.slvq"),
                            "--d-h", "4", "--d-c", "2", "--k", "4", "--json")
         assert code == EXIT_OK

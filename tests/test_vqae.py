@@ -15,9 +15,11 @@ from slvq.vqae import (
     decode,
     decompress,
     encode,
+    fit,
     quantize_latent,
     refit_decoder,
     renormalize,
+    topk_scatter,
     topk_select,
     topk_then_vq_compress,
     topk_then_vq_decompress,
@@ -49,6 +51,10 @@ class TestModelValidation:
         enc[0, 0] = np.nan
         with pytest.raises(ModelValidationError):
             VqaeModel(enc, rng.standard_normal((6, 4)), rng.standard_normal((3, 2)))
+
+    def test_empty_code_width_rejected(self, rng):
+        with pytest.raises(ModelValidationError):
+            VqaeModel(rng.standard_normal((4, 6)), rng.standard_normal((6, 4)), np.zeros((3, 0)))
 
     def test_dimension_properties(self, rng):
         model = small_model(rng)
@@ -323,6 +329,11 @@ class TestTopkThenVq:
         np.testing.assert_array_equal(classes, [[0, 1], [2, 1]])
         np.testing.assert_allclose(values, [[0.4, 0.4], [0.7, 0.2]])
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_topk_scatter_rejects_out_of_range_class(self, bad):
+        with pytest.raises(ModelValidationError):
+            topk_scatter(np.array([[0.6, 0.4]]), np.array([[0, bad]]), 3)
+
     def test_topk_select_rejects_large_k(self, rng):
         with pytest.raises(ModelValidationError):
             topk_select(rng.dirichlet(np.ones(4), size=2), 5)
@@ -340,3 +351,43 @@ class TestTopkThenVq:
         # mass should concentrate on the kept classes
         kept = np.take_along_axis(out.data, classes, axis=1).sum(axis=1)
         assert kept.mean() > 0.5
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_decompress_rejects_out_of_range_vq_index(self, rng, bad):
+        labels = random_labels(rng, 40, 10)
+        config = TrainConfig(max_steps=20, batch_size=16, seed=0)
+        model, _ = topk_then_vq_fit(labels, k_top=4, d_h=4, d_c=2, k=8, config=config)
+        vq_idx, classes = topk_then_vq_compress(labels, model)
+        vq_idx[3, 1] = bad
+        with pytest.raises(ModelValidationError):
+            topk_then_vq_decompress(vq_idx, classes, model)
+
+
+class TestDecodeSideModel:
+    def test_decodes_like_the_full_model(self, rng):
+        model = small_model(rng)
+        decode_side = VqaeModel(None, model.decoder, model.codebook)
+        assert (decode_side.c, decode_side.d_h, decode_side.m) == (model.c, model.d_h, model.m)
+        indices = compress(random_labels(rng, 12, 6), model)
+        np.testing.assert_array_equal(decompress(indices, decode_side).data,
+                                      decompress(indices, model).data)
+
+    def test_cannot_encode_compress_or_fit(self, rng):
+        model = small_model(rng)
+        decode_side = VqaeModel(None, model.decoder, model.codebook)
+        labels = random_labels(rng, 16, 6)
+        for call in (lambda: encode(labels.data, decode_side),
+                     lambda: compress(labels, decode_side),
+                     lambda: fit(labels, 8, 4, 5, TrainConfig(max_steps=2, batch_size=4),
+                                 init_model=decode_side)):
+            with pytest.raises(ModelValidationError):
+                call()
+
+    def test_fit_and_compress_take_plain_arrays(self, rng):
+        labels = random_labels(rng, 32, 6)
+        config = TrainConfig(max_steps=10, batch_size=8, seed=1)
+        from_matrix, _ = fit(labels, 4, 2, 4, config)
+        from_array, _ = fit(labels.data, 4, 2, 4, config)
+        np.testing.assert_array_equal(from_matrix.encoder, from_array.encoder)
+        np.testing.assert_array_equal(compress(labels, from_matrix),
+                                      compress(labels.data, from_matrix))
