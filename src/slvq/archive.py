@@ -1,9 +1,13 @@
-"""Bit-exact serialization: packed code indices, the SLAR archive container,
-and the SLVQ model file.
+"""Bit-exact serialization: packed code indices and the SLAR container.
 
 Indices are packed MSB-first with each label row padded to a byte boundary,
 so rows remain randomly accessible. The container is little-endian on disk
 and ends with a CRC32 trailer over everything before it.
+
+Every file slvq writes except SLAB labels is a CRC-checked SLAR container. A
+label archive holds decoder, codebook and packed indices; a model file
+(``.slvq``) holds encoder, decoder and codebook sections, with the gradient
+mode and epsilon in its header. Older SLVQ-format model files must be refit.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from .vqae import GRADIENT_MODES, ModelValidationError, VqaeModel, decompress
 
 SLAR_MAGIC = b"SLAR"
 SLAR_VERSION = 1
-SLVQ_MAGIC = b"SLVQ"
-SLVQ_VERSION = 1
 
 CODEC_VQAE = 0   # the only codec a SLAR archive carries
 
@@ -94,17 +96,30 @@ def vqae_archive(model: VqaeModel, indices: np.ndarray, epsilon: float = 1e-8) -
     )
 
 
-def decompress_vqae_archive(archive: CompressedArchive):
-    """Reconstruct labels from a VQAE archive with a decode-side model."""
-    h = archive.header
+def _load_vqae(archive: CompressedArchive):
+    """The model a VQAE container holds and its epsilon, checked against the
+    header. Without an encoder section the model is decode-side."""
+    h, arrays = archive.header, archive.arrays
     try:
-        model = VqaeModel(None, archive.arrays["decoder"], archive.arrays["codebook"])
+        model = VqaeModel(arrays.get("encoder"), arrays["decoder"], arrays["codebook"])
         stored = {"c": model.c, "d_h": model.d_h, "d_c": model.d_c, "k": model.k}
         wrong = [key for key, value in stored.items() if h[key] != value]
-        if wrong:
-            raise ArchiveError(f"header {', '.join(wrong)} disagree with the stored sections")
-        return decompress(archive.packed["indices"][0], model, h["epsilon"])
+        epsilon = h["epsilon"]
     except (KeyError, TypeError, ModelValidationError) as err:
+        raise ArchiveError(f"malformed VQAE archive ({type(err).__name__}: {err})") from None
+    if wrong:
+        raise ArchiveError(f"header {', '.join(wrong)} disagree with the stored sections")
+    if type(epsilon) not in (int, float) or not epsilon > 0:
+        raise ArchiveError(f"epsilon must be a positive number, got {epsilon!r}")
+    return model, epsilon
+
+
+def decompress_vqae_archive(archive: CompressedArchive):
+    """Reconstruct labels from a VQAE archive with a decode-side model."""
+    model, epsilon = _load_vqae(archive)
+    try:
+        return decompress(archive.packed["indices"][0], model, epsilon)
+    except (KeyError, ModelValidationError) as err:
         raise ArchiveError(f"malformed VQAE archive ({type(err).__name__}: {err})") from None
 
 
@@ -152,7 +167,7 @@ def read_archive(path) -> CompressedArchive:
         blob = f.read()
     if len(blob) < 15 or blob[:4] != SLAR_MAGIC:
         raise ArchiveError(f"{path}: not a SLAR archive")
-    body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
+    body, (crc,) = memoryview(blob)[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(body) != crc:
         raise ArchiveError(f"{path}: CRC32 mismatch, file corrupted")
     try:
@@ -161,8 +176,8 @@ def read_archive(path) -> CompressedArchive:
         raise ArchiveError(f"{path}: {err}") from None
 
 
-def _decode_body(body: bytes) -> CompressedArchive:
-    view, off = memoryview(body), 4   # slices of a memoryview copy nothing
+def _decode_body(view: memoryview) -> CompressedArchive:
+    off = 4   # slices of a memoryview copy nothing
 
     def take_bytes(size):
         nonlocal off
@@ -188,50 +203,34 @@ def _decode_body(body: bytes) -> CompressedArchive:
         name = str(take_bytes(*take("<H")), "utf-8")
         n, m, bits = take("<IIB")
         packed[name] = (unpack_indices(take_bytes(n * packed_row_bytes(m, bits)), n, m, bits), bits)
-    if off != len(body):
-        raise ArchiveError(f"{len(body) - off} trailing bytes")
+    if off != len(view):
+        raise ArchiveError(f"{len(view) - off} trailing bytes")
     return CompressedArchive(codec_id=codec_id, header=header, arrays=arrays, packed=packed)
 
 
-# ---------------------------------------------------------------------------
-# SLVQ model file: magic, version u16, header (c, d_h, d_c, k u32 each,
-# gradient_mode u8, epsilon f64), then P, D, codebook as little-endian f32.
-# ---------------------------------------------------------------------------
-
 def write_model(model: VqaeModel, path, gradient_mode: str = "straight_through",
                 epsilon: float = 1e-8) -> None:
-    mode_code = GRADIENT_MODES.index(gradient_mode)
-    header = SLVQ_MAGIC + struct.pack("<HIIIIBd", SLVQ_VERSION, model.c, model.d_h,
-                                      model.d_c, model.k, mode_code, epsilon)
-    with open(path, "wb") as f:
-        f.write(header)
-        for arr in (model.encoder, model.decoder, model.codebook):
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    if model.encoder is None:
+        raise ModelValidationError("a decode-side model has no encoder to write")
+    if gradient_mode not in GRADIENT_MODES or not epsilon > 0:
+        raise ModelValidationError(
+            f"cannot write gradient mode {gradient_mode!r} with epsilon {epsilon!r}")
+    header = {"c": model.c, "d_h": model.d_h, "d_c": model.d_c, "k": model.k,
+              "epsilon": float(epsilon), "gradient_mode": gradient_mode}
+    arrays = {"encoder": model.encoder, "decoder": model.decoder, "codebook": model.codebook}
+    write_archive(CompressedArchive(CODEC_VQAE, header, arrays), path)
 
 
 def read_model(path):
     """Returns (model, gradient_mode, epsilon)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != SLVQ_MAGIC:
-        raise ArchiveError(f"{path}: not a SLVQ model file")
-    if len(blob) < 4 + struct.calcsize("<HIIIIBd"):
-        raise ArchiveError(f"{path}: truncated header ({len(blob)} bytes)")
-    version, c, d_h, d_c, k, mode_code, epsilon = struct.unpack_from("<HIIIIBd", blob, 4)
-    if version != SLVQ_VERSION:
-        raise ArchiveError(f"{path}: unsupported version {version}")
-    if mode_code >= len(GRADIENT_MODES):
-        raise ArchiveError(f"{path}: unknown gradient mode code {mode_code}")
-    off = 4 + struct.calcsize("<HIIIIBd")
-    expected = off + 4 * (c * d_h + d_h * c + k * d_c)
-    if len(blob) != expected:
-        raise ArchiveError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    def take(rows, cols):
-        nonlocal off
-        arr = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=off)
-        off += rows * cols * 4
-        return arr.reshape(rows, cols).astype(np.float64)
-    encoder = take(c, d_h)
-    decoder = take(d_h, c)
-    codebook = take(k, d_c)
-    return VqaeModel(encoder, decoder, codebook), GRADIENT_MODES[mode_code], epsilon
+    archive = read_archive(path)
+    mode = archive.header.get("gradient_mode")
+    try:
+        if "encoder" not in archive.arrays:
+            raise ArchiveError("no encoder section, not a model file")
+        if mode not in GRADIENT_MODES:
+            raise ArchiveError(f"unknown gradient mode {mode!r}")
+        model, epsilon = _load_vqae(archive)
+    except ArchiveError as err:
+        raise ArchiveError(f"{path}: {err}") from None
+    return model, mode, epsilon

@@ -75,9 +75,6 @@ class StorageReport:
     def ratio(self) -> float:
         return self.raw_bytes / self.compressed_bytes
 
-    def gb(self, value) -> float:
-        return value / GIB
-
     def as_dict(self) -> dict:
         return {
             "raw_bytes": self.raw_bytes,

@@ -67,7 +67,7 @@ def _build_parser():
     p = sub.add_parser("fit", help="train a codec on a label file")
     common(p)
     p.add_argument("--labels", required=True, help="SLAB or CSV label file")
-    p.add_argument("--out", required=True, help="output SLVQ model file")
+    p.add_argument("--out", required=True, help="output model file (.slvq)")
     p.add_argument("--d-h", type=int, required=True)
     p.add_argument("--d-c", type=int, required=True)
     p.add_argument("--k", type=int, required=True)

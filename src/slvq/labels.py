@@ -194,7 +194,10 @@ def read_labels_csv(path, precision_tag: str = "half") -> SoftLabelMatrix:
                 continue
             if len(row) != len(header):
                 raise LabelFileError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            rows.append([float(v) for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as err:
+                raise LabelFileError(f"{path}:{lineno}: {err}") from None
     if not rows:
         raise LabelFileError(f"{path}: no label rows")
     return SoftLabelMatrix(np.array(rows, dtype=np.float64), precision_tag=precision_tag)

@@ -1,3 +1,4 @@
+import re
 import struct
 import zlib
 
@@ -24,7 +25,7 @@ from slvq.archive import (
     write_model,
 )
 from slvq.labels import SoftLabelMatrix
-from slvq.vqae import VqaeModel, compress, decompress
+from slvq.vqae import ModelValidationError, VqaeModel, compress, decompress
 
 from conftest import random_labels
 
@@ -69,6 +70,24 @@ HEADER_EDITS = {
     "missing k": lambda h: h.pop("k"),
     "mismatched c": lambda h: h.update(c=h["c"] + 1),
     "epsilon not a number": lambda h: h.update(epsilon="tiny"),
+}
+
+# edits of a model file's (header, arrays) -> what read_model's ArchiveError says
+MODEL_EDITS = {
+    "mismatched d_h": (lambda h, a: h.update(d_h=16), "header d_h disagree"),
+    "missing k": (lambda h, a: h.pop("k"), "KeyError: 'k'"),
+    "NaN encoder": (lambda h, a: a.update(encoder=np.full((6, 8), np.nan)),
+                    "encoder contains non-finite entries"),
+    "d_h not divisible by d_c": (lambda h, a: a.update(encoder=np.ones((6, 3)),
+                                                       decoder=np.ones((3, 6))),
+                                 "d_h=3 not divisible by d_c=4"),
+    "no encoder section": (lambda h, a: a.pop("encoder"), "no encoder section"),
+    "unknown gradient mode": (lambda h, a: h.update(gradient_mode="sideways"),
+                              "unknown gradient mode 'sideways'"),
+    "no gradient mode": (lambda h, a: h.pop("gradient_mode"), "unknown gradient mode None"),
+    "epsilon not a number": (lambda h, a: h.update(epsilon="tiny"),
+                             "epsilon must be a positive number"),
+    "epsilon zero": (lambda h, a: h.update(epsilon=0.0), "epsilon must be a positive number"),
 }
 
 
@@ -225,4 +244,34 @@ class TestModelFile:
         path = tmp_path / "short.slvq"
         path.write_bytes(b"SLVQ" + b"\x01" * 6)
         with pytest.raises(ArchiveError):
+            read_model(path)
+
+    def test_decode_side_model_not_written(self, rng, tmp_path):
+        full = f32_model(rng)
+        path = tmp_path / "model.slvq"
+        with pytest.raises(ModelValidationError):
+            write_model(VqaeModel(None, full.decoder, full.codebook), path)
+        assert not path.exists()
+
+    def test_model_file_is_a_slar_container(self, rng, tmp_path):
+        model = f32_model(rng)
+        path = tmp_path / "model.slvq"
+        write_model(model, path, "literal_stop_gradient", epsilon=1e-5)
+        archive = read_archive(path)
+        assert path.read_bytes()[:4] == SLAR_MAGIC
+        assert sorted(archive.arrays) == ["codebook", "decoder", "encoder"]
+        assert archive.header == {"c": 6, "d_h": 8, "d_c": 4, "k": 5, "epsilon": 1e-5,
+                                  "gradient_mode": "literal_stop_gradient"}
+
+    @pytest.mark.parametrize("name", sorted(MODEL_EDITS))
+    def test_inconsistent_model_raises_archive_error(self, rng, name, tmp_path):
+        model = f32_model(rng)
+        header = {"c": model.c, "d_h": model.d_h, "d_c": model.d_c, "k": model.k,
+                  "epsilon": 1e-8, "gradient_mode": "straight_through"}
+        arrays = {"encoder": model.encoder, "decoder": model.decoder, "codebook": model.codebook}
+        edit, message = MODEL_EDITS[name]
+        edit(header, arrays)
+        path = tmp_path / "bad.slvq"
+        write_archive(CompressedArchive(CODEC_VQAE, header, arrays), path)
+        with pytest.raises(ArchiveError, match=re.escape(message)):
             read_model(path)

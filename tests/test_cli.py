@@ -156,6 +156,31 @@ class TestErrorPaths:
         assert code == EXIT_DATA
         assert err.startswith("error:")
 
+    def test_csv_non_numeric_cell(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0,1\n0.5,abc\n")
+        code, _, err = run(capsys, "fit", "--labels", str(bad), "--out", str(tmp_path / "m.slvq"),
+                           "--d-h", "4", "--d-c", "2", "--k", "4")
+        assert code == EXIT_DATA
+        assert err.startswith("error:")
+        assert "bad.csv:2" in err
+
+    @pytest.mark.parametrize("command", ["compress", "decompress"])
+    def test_file_of_the_other_kind(self, capsys, rng, tmp_path, label_file, command):
+        """Model files and label archives share the SLAR container; each
+        command still rejects the other kind."""
+        model_path, archive_path = tmp_path / "m.slvq", tmp_path / "a.slar"
+        write_model(f32_model(rng, c=10, d_h=4, d_c=2, k=4), model_path)
+        assert run(capsys, "compress", "--labels", str(label_file), "--model", str(model_path),
+                   "--out", str(archive_path))[0] == EXIT_OK
+        if command == "compress":
+            argv = ["--labels", str(label_file), "--model", str(archive_path)]
+        else:
+            argv = ["--archive", str(model_path)]
+        code, _, err = run(capsys, command, *argv, "--out", str(tmp_path / "o"))
+        assert code == EXIT_DATA
+        assert err.startswith("error:")
+
 
 class TestConfigAndSeed:
     def test_config_file_sets_defaults(self, capsys, label_file, tmp_path):

@@ -1,0 +1,84 @@
+"""Byte-mutation and truncation fuzzing of the files slvq reads.
+
+Model files and label archives are CRC-checked SLAR containers, so every
+altered one must be rejected with exit 2. SLAB label files carry no
+checksum: an altered one may still be valid, but it must never escape as a
+traceback.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slvq.archive import write_model
+from slvq.cli import EXIT_DATA, EXIT_OK, main
+from slvq.labels import write_slab
+
+from conftest import random_labels
+from test_archive import f32_model
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Pristine label file, model file and label archive, keyed by kind."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(99)
+    paths = {"labels": root / "labels.slab", "model": root / "model.slvq",
+             "archive": root / "labels.slar"}
+    write_slab(random_labels(rng, 8, 10), paths["labels"])
+    write_model(f32_model(rng, c=10, d_h=4, d_c=2, k=4), paths["model"])
+    assert cli(compress_argv(paths, paths["archive"]))[0] == EXIT_OK
+    return {kind: (path, path.read_bytes()) for kind, path in paths.items()}
+
+
+def cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def compress_argv(paths, out):
+    return ["compress", "--labels", paths["labels"], "--model", paths["model"], "--out", out]
+
+
+def alter(data, blob: bytes) -> bytes:
+    """Truncate ``blob`` or flip bits of one of its bytes."""
+    position = data.draw(st.integers(0, len(blob) - 1))
+    if data.draw(st.booleans()):
+        return blob[:position]
+    mutated = bytearray(blob)
+    mutated[position] ^= data.draw(st.integers(1, 255))
+    return bytes(mutated)
+
+
+def run_altered(files, kind, data):
+    paths = {name: path for name, (path, _) in files.items()}
+    path, blob = files[kind]
+    paths[kind] = path.with_name("altered" + path.suffix)
+    paths[kind].write_bytes(alter(data, blob))
+    if kind == "archive":
+        return cli(["decompress", "--archive", paths["archive"],
+                    "--out", path.with_name("out.slab")])
+    return cli(compress_argv(paths, path.with_name("out.slar")))
+
+
+@pytest.mark.parametrize("kind", ["model", "archive"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_altered_container_exits_2(files, kind, data):
+    code, err = run_altered(files, kind, data)
+    assert code == EXIT_DATA
+    assert err.startswith("error:")
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_altered_label_file_exits_0_or_2(files, data):
+    code, err = run_altered(files, "labels", data)
+    assert code in (EXIT_OK, EXIT_DATA)
+    assert code == EXIT_OK or err.startswith("error:")
