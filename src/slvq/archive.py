@@ -118,7 +118,10 @@ def decompress_vqae_archive(archive: CompressedArchive):
     """Reconstruct labels from a VQAE archive with a decode-side model."""
     model, epsilon = _load_vqae(archive)
     try:
-        return decompress(archive.packed["indices"][0], model, epsilon)
+        indices, n = archive.packed["indices"][0], archive.header["n"]
+        if type(n) is not int or n != indices.shape[0]:
+            raise ArchiveError(f"header n={n!r} disagrees with {indices.shape[0]} packed index rows")
+        return decompress(indices, model, epsilon)
     except (KeyError, ModelValidationError) as err:
         raise ArchiveError(f"malformed VQAE archive ({type(err).__name__}: {err})") from None
 

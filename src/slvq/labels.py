@@ -174,9 +174,14 @@ def read_slab(path) -> SoftLabelMatrix:
     if len(blob) != expected:
         raise LabelFileError(f"{path}: expected {expected} bytes, found {len(blob)}")
     data = np.frombuffer(blob, dtype=dtype, offset=15).reshape(n, c).astype(np.float64)
+    if not np.isfinite(data).all() or (data < 0).any():
+        raise LabelFileError(f"{path}: {validate_simplex(data).violation}")
+    sums = data.sum(axis=1, keepdims=True)
+    if not sums.all():
+        raise LabelFileError(f"{path}: row {int(np.argmin(sums))}: every entry is zero")
     # Half-precision storage can leave row sums slightly off; renormalize the
     # tiny residual so the in-memory matrix satisfies the simplex invariant.
-    data = data / data.sum(axis=1, keepdims=True)
+    data = data / sums
     return SoftLabelMatrix(data, precision_tag=tag)
 
 

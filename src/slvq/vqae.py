@@ -164,11 +164,18 @@ def quantize_latent(h, model: VqaeModel):
     # returns the first (lowest) index on ties
     half_norms = 0.5 * np.einsum("kd,kd->k", model.codebook, model.codebook)
     indices = np.empty(n * model.m, dtype=np.int64)
-    chunk = max(1, 8_000_000 // max(1, model.k))
-    for start in range(0, segs.shape[0], chunk):
-        block = segs[start:start + chunk]
-        scores = half_norms[None, :] - block @ model.codebook.T
-        indices[start:start + chunk] = np.argmin(scores, axis=1)
+    # Blocks of at most 2**20 scores (8 MB) share one buffer. They are split
+    # evenly, so no block is a few rows that BLAS would route to another
+    # kernel, whose last bits can differ.
+    total = segs.shape[0]
+    blocks = max(1, -(-total * model.k // 2**20))
+    scores_buf = np.empty((-(-total // blocks), model.k))
+    for i in range(blocks):
+        start, stop = total * i // blocks, total * (i + 1) // blocks
+        scores = scores_buf[:stop - start]
+        np.matmul(segs[start:stop], model.codebook.T, out=scores)
+        np.subtract(half_norms, scores, out=scores)
+        np.argmin(scores, axis=1, out=indices[start:stop])
     indices = indices.reshape(n, model.m)
     h_hat = model.codebook[indices].reshape(n, model.d_h)
     if single:
@@ -255,8 +262,18 @@ def _init_model(Y: np.ndarray, d_h: int, d_c: int, k: int, rng: np.random.Genera
         raise ModelValidationError(f"d_h={d_h} not divisible by d_c={d_c}")
     P = rng.uniform(-scale, scale, size=(c, d_h)) / np.sqrt(c)
     D = rng.uniform(-scale, scale, size=(d_h, c)) / np.sqrt(d_h)
+    # _sample_segments((Y @ P).reshape(-1, d_c), k, rng, jitter=1e-4), with the
+    # same draws, but multiplying only the rows the k picks come from
+    n, m = Y.shape[0], d_h // d_c
+    picks = rng.choice(n * m, size=k, replace=n * m < k)
+    rows, segs = np.divmod(picks, m)
+    unique, inverse = np.unique(rows, return_inverse=True)
+    # numpy sends a one-row product to gemv, whose last bit can differ from
+    # the GEMM over all of Y, so a lone row goes in twice
+    take = np.append(unique, unique) if unique.size == 1 < n else unique
+    sample = (Y[take] @ P).reshape(take.size, m, d_c)[inverse, segs]
     # tiny jitter so duplicate source rows cannot produce identical codes
-    return VqaeModel(P, D, _sample_segments((Y @ P).reshape(-1, d_c), k, rng, jitter=1e-4))
+    return VqaeModel(P, D, sample + 1e-4 * rng.standard_normal(sample.shape))
 
 
 def _sample_segments(segs, count: int, rng: np.random.Generator, jitter: float = 0.0):

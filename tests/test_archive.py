@@ -214,6 +214,14 @@ class TestMalformedArchives:
             decompress_vqae_archive(read_archive(path))
 
 
+    @pytest.mark.parametrize("n", [999, 9, 10.0, "10", True, None])
+    def test_header_n_must_equal_packed_rows(self, rng, n, tmp_path):
+        path = tmp_path / "bad.slar"
+        path.write_bytes(vqae_slar_with_header(rng, lambda h: h.update(n=n)))
+        with pytest.raises(ArchiveError, match="disagrees with 10 packed index rows"):
+            decompress_vqae_archive(read_archive(path))
+
+
 class TestModelFile:
     def test_roundtrip(self, rng, tmp_path):
         model = f32_model(rng)

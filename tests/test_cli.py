@@ -1,4 +1,6 @@
 import json
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +157,20 @@ class TestErrorPaths:
                            "--model", str(paths["model"]), "--out", str(tmp_path / "o.slar"))
         assert code == EXIT_DATA
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [0.5, np.nan, 0.5], [0.5, np.inf, 0.5],
+                                     [0.5, -0.25, 0.75]],
+                             ids=["all-zero row", "NaN cell", "inf cell", "negative cell"])
+    def test_slab_bad_row_rejected_before_renormalizing(self, capsys, tmp_path, row):
+        bad = tmp_path / "bad.slab"
+        data = np.array([[0.25, 0.25, 0.5], row], dtype="<f4")
+        bad.write_bytes(b"SLAB" + struct.pack("<HIIB", 1, 3, 2, 1) + data.tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "fit", "--labels", str(bad), "--out",
+                               str(tmp_path / "m.slvq"), "--d-h", "4", "--d-c", "2", "--k", "4")
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: {bad}: row 1")
 
     def test_csv_non_numeric_cell(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -21,7 +21,60 @@ def quick_config(**overrides):
     return TrainConfig(**base)
 
 
+class ReferenceAdamW:
+    """The update as whole-array expressions, one temporary per operation:
+    the form the blocked, in-place AdamW must match bit for bit."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-2):
+        self.params, self.lr, self.eps, self.weight_decay = params, lr, eps, weight_decay
+        self.beta1, self.beta2 = betas
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            g = grads[name]
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / bc1
+            v_hat = v / bc2
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * self.weight_decay * p
+
+
 class TestAdamW:
+    def test_blocked_update_is_bit_identical_to_reference(self):
+        rng = np.random.default_rng(0)
+        # 75,000 elements span two full blocks and part of a third
+        shapes = {"w": (300, 250), "b": (3,)}
+        params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        expected = {name: p.copy() for name, p in params.items()}
+        opt = AdamW(params, lr=0.01, betas=(0.8, 0.99), eps=1e-6, weight_decay=0.1)
+        ref = ReferenceAdamW(expected, lr=0.01, betas=(0.8, 0.99), eps=1e-6, weight_decay=0.1)
+        for _ in range(5):
+            grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+            opt.step(grads)
+            ref.step(grads)
+        for name in shapes:
+            np.testing.assert_array_equal(params[name], expected[name])
+            np.testing.assert_array_equal(opt.m[name], ref.m[name])
+            np.testing.assert_array_equal(opt.v[name], ref.v[name])
+
+    @pytest.mark.parametrize("param", [np.zeros((4, 3)).T, np.zeros(3, dtype=np.float32),
+                                       np.frombuffer(bytes(24))],
+                             ids=["transposed view", "float32", "read-only"])
+    def test_rejects_parameter_it_cannot_update_in_place(self, param):
+        with pytest.raises(ValueError, match="writeable, C-contiguous float64"):
+            AdamW({"p": param})
+
     def test_single_step_matches_hand_computation(self):
         p = np.array([1.0, -2.0])
         opt = AdamW({"p": p}, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01)
@@ -41,6 +94,12 @@ class TestAdamW:
         # zero gradient: only the decay term moves p1
         np.testing.assert_allclose(p1, 10.0 - 0.1 * 0.5 * 10.0)
         np.testing.assert_allclose(p2, 10.0)
+
+    def test_rejects_gradient_of_another_shape(self):
+        # the flat blocks would otherwise pair a (3, 1) gradient with a (3,) parameter
+        opt = AdamW({"p": np.zeros(3)})
+        with pytest.raises(ValueError, match="shape"):
+            opt.step({"p": np.ones((3, 1))})
 
     def test_rejects_bad_lr(self):
         with pytest.raises(ValueError):

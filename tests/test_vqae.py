@@ -10,6 +10,8 @@ from slvq.vqae import (
     ModelValidationError,
     TrainConfig,
     VqaeModel,
+    _init_model,
+    _sample_segments,
     cache_loss_and_grads,
     compress,
     decode,
@@ -108,6 +110,25 @@ class TestQuantize:
         assert indices.tolist() == [0]
         np.testing.assert_array_equal(h_hat, codebook[0])
 
+    def test_blocked_search_matches_brute_force_with_ties_across_blocks(self):
+        rng = np.random.default_rng(3)
+        # 4,096 codes on an integer grid, in shuffled order, so a block holds
+        # 256 segments and 1,000 segments take four blocks
+        grid = np.stack(np.meshgrid(np.arange(64.0), np.arange(64.0)), -1).reshape(-1, 2)
+        codebook = rng.permutation(grid)
+        model = VqaeModel(None, np.zeros((4, 3)), codebook)
+        segs = rng.uniform(0, 63, size=(1000, 2))
+        # every other segment sits at a half-integer point, exactly
+        # equidistant from two or four codes; all arithmetic on them is exact
+        tied = rng.integers(0, 63, size=(500, 2)) + rng.choice([0.0, 0.5], size=(500, 2))
+        tied[np.all(tied % 1 == 0, axis=1), 0] += 0.5
+        segs[::2] = tied
+        d2 = ((segs[:, None, :] - codebook[None]) ** 2).sum(-1)
+        assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1)[::2] >= 2).all()
+        indices, h_hat = quantize_latent(segs.reshape(500, 4), model)
+        np.testing.assert_array_equal(indices.reshape(-1), np.argmin(d2, axis=1))
+        np.testing.assert_array_equal(h_hat.reshape(-1, 2), codebook[indices.reshape(-1)])
+
     def test_single_latent_shape(self, rng):
         model = small_model(rng)
         indices, h_hat = quantize_latent(rng.standard_normal(8), model)
@@ -123,6 +144,36 @@ class TestQuantize:
     def test_rejects_wrong_latent_dim(self, rng):
         with pytest.raises(ModelValidationError):
             quantize_latent(np.zeros(9), small_model(rng))
+
+
+class TestInitModel:
+    @staticmethod
+    def full_product_init(Y, d_h, d_c, k, rng):
+        """The codebook drawn from Y @ P over every row, as it was sampled
+        before only the picked rows were multiplied."""
+        c = Y.shape[1]
+        P = rng.uniform(-1, 1, size=(c, d_h)) / np.sqrt(c)
+        rng.uniform(-1, 1, size=(d_h, c))
+        return _sample_segments((Y @ P).reshape(-1, d_c), k, rng, jitter=1e-4)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 64])
+    def test_codebook_equals_full_product_sample(self, k):
+        # the desk task's shape: 4,000 labels, c=100, d_h=400, d_c=40
+        Y = random_labels(np.random.default_rng(k), 4000, 100).data
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        model = _init_model(Y, 400, 40, k, ours)
+        np.testing.assert_array_equal(model.codebook, self.full_product_init(Y, 400, 40, k, theirs))
+        assert ours.random() == theirs.random()   # the RNG stream is unchanged
+
+    def test_codebook_within_rounding_of_full_product_sample(self):
+        # At c=100, d_h=100 OpenBLAS multiplies fewer than about 100 rows
+        # with another kernel than all 1,000, so the last bit may differ.
+        Y = random_labels(np.random.default_rng(0), 1000, 100).data
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        model = _init_model(Y, 100, 10, 64, ours)
+        np.testing.assert_allclose(model.codebook, self.full_product_init(Y, 100, 10, 64, theirs),
+                                   rtol=1e-13, atol=1e-16)
+        assert ours.random() == theirs.random()
 
 
 class TestRenormalize:
