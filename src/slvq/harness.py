@@ -145,11 +145,11 @@ def cache_teacher_labels(teacher: MlpModel, task: SyntheticTask, views: int = 1,
     """
     rng = np.random.default_rng(seed)
     n = task.x_train.shape[0]
-    blocks = []
-    for _ in range(views):
+    out = np.empty((views * n, teacher.b2.size))
+    for v in range(views):
         x = task.x_train + jitter * rng.standard_normal(task.x_train.shape)
-        blocks.append(stable_softmax(teacher.logits(x), tau))
-    return SoftLabelMatrix(np.concatenate(blocks, axis=0))
+        out[v * n:(v + 1) * n] = stable_softmax(teacher.logits(x), tau)
+    return SoftLabelMatrix(out)
 
 
 def train_student_kl(task: SyntheticTask, labels: SoftLabelMatrix, tau: float = 1.0,
@@ -166,16 +166,46 @@ def train_student_kl(task: SyntheticTask, labels: SoftLabelMatrix, tau: float = 
     return student
 
 
+# Whole-matrix reductions run over blocks of about this many elements, so
+# their temporaries stay small; each row still reduces alone, in one piece.
+_BLOCK_ELEMENTS = 2**16
+
+
+def _mean_of_row_sums(row_terms, n: int, c: int) -> float:
+    """Mean over n rows of the row sums of ``row_terms(rows)``, a c-wide block."""
+    sums = np.empty(n)
+    step = max(1, _BLOCK_ELEMENTS // c)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        row_terms(rows).sum(axis=1, out=sums[rows])
+    return float(sums.mean())
+
+
 def mean_kl(p: SoftLabelMatrix, q: SoftLabelMatrix, floor: float = 1e-12) -> float:
     """Mean KL(p || q) over rows, in nats."""
-    pd = np.maximum(p.data, floor)
-    qd = np.maximum(q.data, floor)
-    return float((p.data * (np.log(pd) - np.log(qd))).sum(axis=1).mean())
+    if p.data.shape != q.data.shape:
+        raise ValueError(f"label shapes differ: {p.data.shape} vs {q.data.shape}")
+
+    def terms(rows):
+        pr = p.data[rows]
+        t, u = np.maximum(pr, floor), np.maximum(q.data[rows], floor)
+        np.log(t, out=t)
+        t -= np.log(u, out=u)
+        t *= pr
+        return t
+    return _mean_of_row_sums(terms, p.n, p.c)
 
 
 def mean_entropy(labels: SoftLabelMatrix, floor: float = 1e-12) -> float:
-    d = labels.data
-    return float(-(d * np.log(np.maximum(d, floor))).sum(axis=1).mean())
+    """Mean row entropy, in nats."""
+    def terms(rows):
+        d = labels.data[rows]
+        t = np.maximum(d, floor)
+        np.log(t, out=t)
+        t *= d
+        np.negative(t, out=t)
+        return t
+    return _mean_of_row_sums(terms, labels.n, labels.c)
 
 
 @dataclass(frozen=True)

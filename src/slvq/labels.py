@@ -102,11 +102,16 @@ class LogitMatrix:
 
 
 def stable_softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise softmax with max subtraction, in double precision."""
-    z = np.asarray(z, dtype=np.float64) / float(temperature)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax with max subtraction, in double precision.
+
+    Works in its float64 output buffer: it allocates nothing else of the
+    input's size.
+    """
+    out = np.divide(z, float(temperature), dtype=np.float64)
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def softmax_labels(logits: LogitMatrix) -> SoftLabelMatrix:
@@ -117,9 +122,17 @@ def softmax_labels(logits: LogitMatrix) -> SoftLabelMatrix:
 def validate_simplex(labels) -> SimplexReport:
     """Check that every row is a probability vector; report the first violation.
 
-    Accepts a SoftLabelMatrix or a raw 2-D array. Never raises.
+    Accepts a SoftLabelMatrix or a raw 2-D array. Never raises. A valid
+    matrix costs two reductions (row sums and the minimum); the element-wise
+    search for the first violation runs only when one of them fails. A
+    non-finite entry always makes its row sum non-finite, so it fails too.
     """
     data = labels.data if isinstance(labels, SoftLabelMatrix) else np.asarray(labels, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = data.sum(axis=1)
+    off = np.abs(sums - 1.0)
+    if (off <= SIMPLEX_ATOL).all() and (data.size == 0 or data.min() >= 0):
+        return SimplexReport(True)
     bad = ~np.isfinite(data)
     if bad.any():
         r, col = np.argwhere(bad)[0]
@@ -128,12 +141,8 @@ def validate_simplex(labels) -> SimplexReport:
     if neg.any():
         r, col = np.argwhere(neg)[0]
         return SimplexReport(False, SimplexViolation(int(r), "negative_entry", int(col), float(data[r, col])))
-    sums = data.sum(axis=1)
-    off = np.abs(sums - 1.0)
-    if (off > SIMPLEX_ATOL).any():
-        r = int(np.argmax(off > SIMPLEX_ATOL))
-        return SimplexReport(False, SimplexViolation(r, "row_sum", None, float(sums[r] - 1.0)))
-    return SimplexReport(True)
+    r = int(np.argmax(off > SIMPLEX_ATOL))
+    return SimplexReport(False, SimplexViolation(r, "row_sum", None, float(sums[r] - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +156,7 @@ class LabelFileError(ValueError):
 
 def write_slab(labels: SoftLabelMatrix, path) -> None:
     dtype = np.dtype(_PRECISION_DTYPES[labels.precision_tag]).newbyteorder("<")
-    payload = labels.data.astype(dtype).tobytes()
+    payload = labels.data.astype(dtype)
     header = SLAB_MAGIC + struct.pack(
         "<HIIB", SLAB_VERSION, labels.c, labels.n, _PRECISION_CODES[labels.precision_tag]
     )
@@ -174,14 +183,18 @@ def read_slab(path) -> SoftLabelMatrix:
     if len(blob) != expected:
         raise LabelFileError(f"{path}: expected {expected} bytes, found {len(blob)}")
     data = np.frombuffer(blob, dtype=dtype, offset=15).reshape(n, c).astype(np.float64)
-    if not np.isfinite(data).all() or (data < 0).any():
+    # a non-finite cell makes its row sum non-finite (half and single values
+    # cannot overflow a float64 sum)
+    with np.errstate(invalid="ignore"):
+        sums = data.sum(axis=1, keepdims=True)
+    if not np.isfinite(sums).all() or (data.size and data.min() < 0):
         raise LabelFileError(f"{path}: {validate_simplex(data).violation}")
-    sums = data.sum(axis=1, keepdims=True)
     if not sums.all():
         raise LabelFileError(f"{path}: row {int(np.argmin(sums))}: every entry is zero")
     # Half-precision storage can leave row sums slightly off; renormalize the
-    # tiny residual so the in-memory matrix satisfies the simplex invariant.
-    data = data / sums
+    # tiny residual in place so the in-memory matrix satisfies the simplex
+    # invariant.
+    data /= sums
     return SoftLabelMatrix(data, precision_tag=tag)
 
 

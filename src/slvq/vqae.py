@@ -152,8 +152,15 @@ def quantize_latent(h, model: VqaeModel):
     Returns (indices, h_hat); accepts a single latent or a batch.
     """
     arr = np.asarray(h, dtype=np.float64)
-    single = arr.ndim == 1
-    rows = _as_rows(arr)
+    indices = _nearest_codes(_as_rows(arr), model)
+    h_hat = model.codebook[indices].reshape(indices.shape[0], model.d_h)
+    if arr.ndim == 1:
+        return indices[0], h_hat[0]
+    return indices, h_hat
+
+
+def _nearest_codes(rows: np.ndarray, model: VqaeModel) -> np.ndarray:
+    """The n x m code indices of n latent rows (ties -> lowest index)."""
     if rows.shape[1] != model.d_h:
         raise ModelValidationError(f"expected latent dim {model.d_h}, got {rows.shape[1]}")
     if not np.isfinite(rows).all():
@@ -176,11 +183,7 @@ def quantize_latent(h, model: VqaeModel):
         np.matmul(segs[start:stop], model.codebook.T, out=scores)
         np.subtract(half_norms, scores, out=scores)
         np.argmin(scores, axis=1, out=indices[start:stop])
-    indices = indices.reshape(n, model.m)
-    h_hat = model.codebook[indices].reshape(n, model.d_h)
-    if single:
-        return indices[0], h_hat[0]
-    return indices, h_hat
+    return indices.reshape(n, model.m)
 
 
 def decode(h_hat, model: VqaeModel) -> np.ndarray:
@@ -192,11 +195,15 @@ def decode(h_hat, model: VqaeModel) -> np.ndarray:
 
 
 def renormalize(y_hat, epsilon: float = 1e-8) -> np.ndarray:
-    """Clamp entries to at least epsilon and rescale rows to sum to one."""
+    """Clamp entries to at least epsilon and rescale rows to sum to one.
+
+    Works in its float64 output buffer; the input is never changed.
+    """
     if not (epsilon > 0):
         raise ModelValidationError("epsilon must be positive")
-    clamped = np.maximum(np.asarray(y_hat, dtype=np.float64), epsilon)
-    return clamped / clamped.sum(axis=-1, keepdims=True)
+    out = np.maximum(y_hat, epsilon, dtype=np.float64)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def cache_loss_and_grads(batch, model: VqaeModel, config: TrainConfig):
@@ -239,9 +246,12 @@ def _cache_loss_grads_aux(batch, model: VqaeModel, config: TrainConfig):
     g_dec = 2.0 * (H_hat.T @ R) / n
 
     # codebook: alpha * ||sg[h] - mu||^2 -> 2 alpha (mu - h) per assigned segment
-    g_cb = np.zeros_like(model.codebook)
-    segs_diff = (-2.0 * config.alpha / n) * Dh.reshape(n, model.m, model.d_c)
-    np.add.at(g_cb, indices.reshape(-1), segs_diff.reshape(-1, model.d_c))
+    # (one weighted bincount over flat codebook cells sums each cell in
+    # segment order, as np.add.at does)
+    segs_diff = (-2.0 * config.alpha / n) * Dh
+    cells = (indices.reshape(-1, 1) * model.d_c + np.arange(model.d_c)).reshape(-1)
+    g_cb = np.bincount(cells, weights=segs_diff.reshape(-1),
+                       minlength=model.codebook.size).reshape(model.codebook.shape)
 
     # encoder: commitment term always; reconstruction only straight-through
     G_h = (2.0 * config.alpha * config.beta) * Dh
@@ -262,18 +272,23 @@ def _init_model(Y: np.ndarray, d_h: int, d_c: int, k: int, rng: np.random.Genera
         raise ModelValidationError(f"d_h={d_h} not divisible by d_c={d_c}")
     P = rng.uniform(-scale, scale, size=(c, d_h)) / np.sqrt(c)
     D = rng.uniform(-scale, scale, size=(d_h, c)) / np.sqrt(d_h)
-    # _sample_segments((Y @ P).reshape(-1, d_c), k, rng, jitter=1e-4), with the
-    # same draws, but multiplying only the rows the k picks come from
-    n, m = Y.shape[0], d_h // d_c
-    picks = rng.choice(n * m, size=k, replace=n * m < k)
+    sample = _sample_latent_segments(Y, P, d_c, k, rng)
+    # tiny jitter so duplicate source rows cannot produce identical codes
+    return VqaeModel(P, D, sample + 1e-4 * rng.standard_normal(sample.shape))
+
+
+def _sample_latent_segments(Y: np.ndarray, P: np.ndarray, d_c: int, count: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """``_sample_segments((Y @ P).reshape(-1, d_c), count, rng)``, with the same
+    draws, but multiplying only the rows of Y the picks come from."""
+    n, m = Y.shape[0], P.shape[1] // d_c
+    picks = rng.choice(n * m, size=count, replace=n * m < count)
     rows, segs = np.divmod(picks, m)
     unique, inverse = np.unique(rows, return_inverse=True)
     # numpy sends a one-row product to gemv, whose last bit can differ from
     # the GEMM over all of Y, so a lone row goes in twice
     take = np.append(unique, unique) if unique.size == 1 < n else unique
-    sample = (Y[take] @ P).reshape(take.size, m, d_c)[inverse, segs]
-    # tiny jitter so duplicate source rows cannot produce identical codes
-    return VqaeModel(P, D, sample + 1e-4 * rng.standard_normal(sample.shape))
+    return (Y[take] @ P).reshape(take.size, m, d_c)[inverse, segs]
 
 
 def _sample_segments(segs, count: int, rng: np.random.Generator, jitter: float = 0.0):
@@ -335,9 +350,8 @@ def _reinit_dead_codes(params, Y, epoch_usage, rng):
     dead = np.flatnonzero(epoch_usage == 0)
     if dead.size == 0:
         return
-    d_c = params["codebook"].shape[1]
-    params["codebook"][dead] = _sample_segments((Y @ params["encoder"]).reshape(-1, d_c),
-                                                dead.size, rng)
+    params["codebook"][dead] = _sample_latent_segments(Y, params["encoder"],
+                                                       params["codebook"].shape[1], dead.size, rng)
 
 
 def refit_decoder(labels: SoftLabelMatrix, model: VqaeModel) -> VqaeModel:
@@ -349,7 +363,9 @@ def refit_decoder(labels: SoftLabelMatrix, model: VqaeModel) -> VqaeModel:
     """
     if labels.c != model.c:
         raise ModelValidationError(f"label c={labels.c} does not match model c={model.c}")
-    _, H_hat = quantize_latent(encode(labels.data, model), model)
+    # the latent is freed before the quantized latent is gathered
+    indices = _nearest_codes(encode(labels.data, model), model)
+    H_hat = model.codebook[indices].reshape(labels.n, model.d_h)
     D_star, *_ = np.linalg.lstsq(H_hat, labels.data, rcond=None)
     return VqaeModel(model.encoder, D_star, model.codebook)
 
@@ -359,8 +375,7 @@ def compress(labels: SoftLabelMatrix | np.ndarray, model: VqaeModel) -> np.ndarr
     Y = _as_rows(labels)
     if Y.ndim != 2 or Y.shape[1] != model.c:
         raise ModelValidationError(f"expected n x {model.c} rows, got shape {Y.shape}")
-    indices, _ = quantize_latent(encode(Y, model), model)
-    return indices.astype(np.int64)
+    return _nearest_codes(encode(Y, model), model)
 
 
 def _decode_codes(indices, model: VqaeModel) -> np.ndarray:

@@ -172,6 +172,18 @@ class TestErrorPaths:
         assert code == EXIT_DATA
         assert err.startswith(f"error: {bad}: row 1")
 
+    @pytest.mark.parametrize("row", ["1e308,1e308", "inf,-inf"], ids=["sum overflows", "inf and -inf"])
+    def test_csv_bad_row_sum_exits_without_warning(self, capsys, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"0,1\n0,1\n{row}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "fit", "--labels", str(bad), "--out",
+                               str(tmp_path / "m.slvq"), "--d-h", "4", "--d-c", "2", "--k", "4")
+        assert code == EXIT_DATA
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "row 1" in err
+
     def test_csv_non_numeric_cell(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,1\n0.5,abc\n")
