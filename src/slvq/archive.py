@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .labels import _CODEC_BLOCK_ELEMENTS, _row_blocks
 from .vqae import GRADIENT_MODES, ModelValidationError, VqaeModel, decompress
 
 SLAR_MAGIC = b"SLAR"
@@ -45,27 +46,30 @@ def pack_indices(indices: np.ndarray, bits: int) -> bytes:
     if indices.size and (indices.min() < 0 or indices.max() >= (1 << bits)):
         raise ArchiveError(f"index out of range for {bits}-bit packing")
     n, m = indices.shape
-    if n == 0:
-        return b""
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
-    bit_rows = ((indices.astype(np.uint64)[:, :, None] >> shifts) & 1).reshape(n, m * bits)
-    pad = (-m * bits) % 8
-    if pad:
-        bit_rows = np.concatenate([bit_rows, np.zeros((n, pad), dtype=np.uint64)], axis=1)
-    return np.packbits(bit_rows.astype(np.uint8), axis=1).tobytes()
+    out = np.empty((n, packed_row_bytes(m, bits)), dtype=np.uint8)
+    for s in _row_blocks(n, m * 32, _CODEC_BLOCK_ELEMENTS):
+        # the 32 bits of each big-endian word, MSB first; keep the low ``bits``
+        # (packbits pads each row to a byte with zeros)
+        words = np.unpackbits(np.ascontiguousarray(indices[s, :, None], ">u4").view(np.uint8), axis=2)
+        out[s] = np.packbits(words[:, :, 32 - bits:].reshape(len(words), m * bits), axis=1)
+    return out.tobytes()
 
 
 def unpack_indices(blob: bytes, n: int, m: int, bits: int) -> np.ndarray:
-    """Invert pack_indices; validates the blob length."""
+    """Invert pack_indices; validates bits and the blob length."""
+    if not 1 <= bits <= 32:
+        raise ArchiveError(f"bits must be in 1..32, got {bits}")
     row_bytes = packed_row_bytes(m, bits)
     if len(blob) != n * row_bytes:
         raise ArchiveError(f"expected {n * row_bytes} packed bytes, got {len(blob)}")
-    if n == 0:
-        return np.zeros((0, m), dtype=np.int64)
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(n, row_bytes)
-    bit_rows = np.unpackbits(raw, axis=1)[:, : m * bits].reshape(n, m, bits)
-    weights = (1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
-    return (bit_rows.astype(np.int64) * weights).sum(axis=2)
+    out = np.empty((n, m), dtype=np.int64)
+    for s in _row_blocks(n, m * 32, _CODEC_BLOCK_ELEMENTS):
+        words = np.zeros((s.stop - s.start, m, 32), dtype=np.uint8)
+        bit_rows = np.unpackbits(raw[s], axis=1, count=m * bits)
+        words[:, :, 32 - bits:] = bit_rows.reshape(len(words), m, bits)
+        out[s] = np.packbits(words, axis=2).view(">u4")[:, :, 0]
+    return out
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import warnings
 from dataclasses import dataclass, field
 
 GIB = 1024 ** 3
-MIB = 1024 ** 2
+HALF_LABEL_BYTES = 2   # one half-precision label scalar, as SLAB stores it
+F32_PARAM_BYTES = 4    # one f32 codec parameter, as SLAR stores it
 
 
 class BudgetError(ValueError):
@@ -35,12 +36,9 @@ class BudgetSpec:
     d_h: int | None = None
     d_c: int | None = None
     k: int | None = None
-    bytes_per_scalar_labels: int = 2
-    bytes_per_scalar_params: int = 4
 
     def __post_init__(self):
-        for name in ("ipc", "num_classes", "epochs", "aug_per_epoch",
-                     "bytes_per_scalar_labels", "bytes_per_scalar_params"):
+        for name in ("ipc", "num_classes", "epochs", "aug_per_epoch"):
             v = getattr(self, name)
             if not (isinstance(v, int) and v > 0):
                 raise BudgetError(f"{name} must be a positive integer, got {v!r}")
@@ -100,7 +98,7 @@ def is_power_of_two(k: int) -> bool:
 
 def raw_label_bytes(spec: BudgetSpec) -> int:
     """Uncompressed cost: one c-vector of label scalars per row per epoch."""
-    return spec.label_rows * spec.num_classes * spec.bytes_per_scalar_labels
+    return spec.label_rows * spec.num_classes * HALF_LABEL_BYTES
 
 
 def vq_bytes(spec: BudgetSpec) -> StorageReport:
@@ -114,8 +112,8 @@ def vq_bytes(spec: BudgetSpec) -> StorageReport:
     m = spec.d_h // spec.d_c
     batch_bits = spec.label_rows * m * bits
     batch = batch_bits / 8 if batch_bits % 8 else batch_bits // 8
-    decoder = spec.num_classes * spec.d_h * spec.bytes_per_scalar_params
-    codebook = spec.k * spec.d_c * spec.bytes_per_scalar_params
+    decoder = spec.num_classes * spec.d_h * F32_PARAM_BYTES
+    codebook = spec.k * spec.d_c * F32_PARAM_BYTES
     return StorageReport(
         raw_bytes=raw_label_bytes(spec),
         compressed_bytes=batch + decoder + codebook,
@@ -157,11 +155,11 @@ def topk_bytes(spec: BudgetSpec, k_top: int) -> StorageReport:
     log2(C) bits each."""
     if k_top > spec.num_classes:
         raise BudgetError(f"k_top={k_top} exceeds C={spec.num_classes}")
-    per_row = k_top * (spec.bytes_per_scalar_labels + math.log2(spec.num_classes) / 8)
+    per_row = k_top * (HALF_LABEL_BYTES + math.log2(spec.num_classes) / 8)
     return StorageReport(
         raw_bytes=raw_label_bytes(spec),
         compressed_bytes=spec.label_rows * per_row,
-        breakdown={"values": spec.label_rows * k_top * spec.bytes_per_scalar_labels,
+        breakdown={"values": spec.label_rows * k_top * HALF_LABEL_BYTES,
                    "indices": spec.label_rows * k_top * math.log2(spec.num_classes) / 8},
     )
 
@@ -170,8 +168,8 @@ def pca_bytes(spec: BudgetSpec, k_pc: int) -> StorageReport:
     """PCA: k_pc projections per row plus the shared component vectors."""
     if k_pc > spec.num_classes:
         raise BudgetError(f"k_pc={k_pc} exceeds C={spec.num_classes}")
-    projections = spec.label_rows * k_pc * spec.bytes_per_scalar_labels
-    vectors = k_pc * spec.num_classes * spec.bytes_per_scalar_labels
+    projections = spec.label_rows * k_pc * HALF_LABEL_BYTES
+    vectors = k_pc * spec.num_classes * HALF_LABEL_BYTES
     return StorageReport(
         raw_bytes=raw_label_bytes(spec),
         compressed_bytes=projections + vectors,
@@ -185,7 +183,7 @@ def quant_bytes(spec: BudgetSpec, bits: int) -> StorageReport:
         raise BudgetError(f"bits must be in 1..8, got {bits}")
     index_bits = spec.label_rows * spec.num_classes * bits
     indices = index_bits / 8 if index_bits % 8 else index_bits // 8
-    levels = (2 ** bits) * spec.bytes_per_scalar_labels
+    levels = (2 ** bits) * HALF_LABEL_BYTES
     return StorageReport(
         raw_bytes=raw_label_bytes(spec),
         compressed_bytes=indices + levels,

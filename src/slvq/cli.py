@@ -148,7 +148,7 @@ def _report_text(report: bd.StorageReport) -> str:
     return "\n".join(lines)
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     labels = _load_labels(args.labels)
     config = vq.TrainConfig(alpha=args.alpha, beta=args.beta, lr=args.lr,
                             weight_decay=args.weight_decay,
@@ -160,55 +160,46 @@ def _cmd_fit(args) -> int:
     summary = {"steps": len(trace), "final_loss": trace.loss_total[-1] if len(trace) else None,
                "final_rec_loss": trace.loss_rec[-1] if len(trace) else None,
                "model": args.out}
-    print(json.dumps(summary) if args.json
-          else f"wrote {args.out} after {summary['steps']} steps "
-               f"(rec loss {summary['final_rec_loss']})")
-    return EXIT_OK
+    return summary, (f"wrote {args.out} after {summary['steps']} steps "
+                     f"(rec loss {summary['final_rec_loss']})")
 
 
-def _cmd_compress(args) -> int:
+def _cmd_compress(args):
     labels = _load_labels(args.labels)
     model, _, epsilon = ar.read_model(args.model)
     indices = vq.compress(labels, model)
     ar.write_archive(ar.vqae_archive(model, indices, epsilon), args.out)
-    print(json.dumps({"archive": args.out, "n": labels.n, "m": model.m})
-          if args.json else f"wrote {args.out} ({labels.n} labels, {model.m} indices each)")
-    return EXIT_OK
+    return ({"archive": args.out, "n": labels.n, "m": model.m},
+            f"wrote {args.out} ({labels.n} labels, {model.m} indices each)")
 
 
-def _cmd_decompress(args) -> int:
+def _cmd_decompress(args):
     arch = ar.read_archive(args.archive)
     labels = ar.decompress_vqae_archive(arch)
     lb.write_slab(labels, args.out)
-    print(json.dumps({"labels": args.out, "n": labels.n, "c": labels.c})
-          if args.json else f"wrote {args.out} ({labels.n} x {labels.c} labels)")
-    return EXIT_OK
+    return ({"labels": args.out, "n": labels.n, "c": labels.c},
+            f"wrote {args.out} ({labels.n} x {labels.c} labels)")
 
 
-def _cmd_budget(args) -> int:
+def _cmd_budget(args):
     spec = bd.BudgetSpec(args.ipc, args.classes, args.epochs, args.aug,
                          d_h=args.d_h, d_c=args.d_c, k=args.k)
     if args.d_h is not None:
         report = bd.vq_bytes(spec)
-        print(json.dumps(report.as_dict()) if args.json else _report_text(report))
-    else:
-        raw = bd.raw_label_bytes(spec)
-        out = {"raw_bytes": raw, "raw_gb": round(raw / bd.GIB, 3)}
-        print(json.dumps(out) if args.json
-              else f"raw: {raw:,} B  ({out['raw_gb']:.3f} GB)")
-    return EXIT_OK
+        return report.as_dict(), _report_text(report)
+    raw = bd.raw_label_bytes(spec)
+    out = {"raw_bytes": raw, "raw_gb": round(raw / bd.GIB, 3)}
+    return out, f"raw: {raw:,} B  ({out['raw_gb']:.3f} GB)"
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     spec = bd.BudgetSpec(args.ipc, args.classes, args.epochs, args.aug)
     (d_h, d_c, k), ratio = bd.solve_hyperparams(args.target, spec)
-    out = {"d_h": d_h, "d_c": d_c, "k": k, "ratio": ratio}
-    print(json.dumps(out) if args.json
-          else f"d_h={d_h} d_c={d_c} k={k}  (ratio {ratio:.3f}x, target {args.target}x)")
-    return EXIT_OK
+    return ({"d_h": d_h, "d_c": d_c, "k": k, "ratio": ratio},
+            f"d_h={d_h} d_c={d_c} k={k}  (ratio {ratio:.3f}x, target {args.target}x)")
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     task = hz.make_task(args.seed, args.dim, args.classes, args.n_per_class,
                         spread=args.spread)
     teacher = hz.train_teacher(task, seed=args.seed)
@@ -224,17 +215,13 @@ def _cmd_eval(args) -> int:
                         codec_name="vqae")
     if args.csv:
         hz.write_retention_csv([report], args.csv)
-    if args.json:
-        print(report.to_json())
-    else:
-        d = report.as_dict()
-        for key in ("codec", "storage_ratio", "raw_accuracy", "compressed_accuracy",
-                    "retention", "mean_kl"):
-            print(f"{key:>21}: {d[key]}")
-    return EXIT_OK
+    d = report.as_dict()
+    return d, "\n".join(f"{key:>21}: {d[key]}" for key in
+                        ("codec", "storage_ratio", "raw_accuracy", "compressed_accuracy",
+                         "retention", "mean_kl"))
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args):
     ipcs = (10, 20, 50, 100)
     raw = {ipc: bd.raw_label_bytes(bd.BudgetSpec(ipc, 1000, 300)) / bd.GIB for ipc in ipcs}
     ours = {
@@ -243,21 +230,16 @@ def _cmd_tables(args) -> int:
                for ipc in ipcs}
         for rate, (d_h, d_c, k) in TABLE_SETTINGS.items()
     }
-    if args.json:
-        print(json.dumps({"raw_gb": {str(i): round(v, 3) for i, v in raw.items()},
-                          "ours_gb": {str(r): {str(i): v for i, v in row.items()}
-                                      for r, row in ours.items()}}))
-        return EXIT_OK
-    print("Soft label size without compression (GB, C=1000, 300 epochs)")
-    print("  " + "  ".join(f"IPC {ipc:>3}: {raw[ipc]:7.3f}" for ipc in ipcs))
-    print("\nCompressed size (GB) per rate setting")
-    header = f"{'rate':>6} {'d_h':>5} {'d_c':>4} {'k':>5}" + "".join(f"  IPC {i:>3}" for i in ipcs)
-    print(header)
+    lines = ["Soft label size without compression (GB, C=1000, 300 epochs)",
+             "  " + "  ".join(f"IPC {ipc:>3}: {raw[ipc]:7.3f}" for ipc in ipcs),
+             "\nCompressed size (GB) per rate setting",
+             f"{'rate':>6} {'d_h':>5} {'d_c':>4} {'k':>5}" + "".join(f"  IPC {i:>3}" for i in ipcs)]
     for rate, (d_h, d_c, k) in TABLE_SETTINGS.items():
-        row = ours[rate]
-        print(f"{rate:>5}x {d_h:>5} {d_c:>4} {k:>5}"
-              + "".join(f"  {row[ipc]:7.3f}" for ipc in ipcs))
-    return EXIT_OK
+        lines.append(f"{rate:>5}x {d_h:>5} {d_c:>4} {k:>5}"
+                     + "".join(f"  {ours[rate][ipc]:7.3f}" for ipc in ipcs))
+    return ({"raw_gb": {str(i): round(v, 3) for i, v in raw.items()},
+             "ours_gb": {str(r): {str(i): v for i, v in row.items()} for r, row in ours.items()}},
+            "\n".join(lines))
 
 
 _COMMANDS = {
@@ -297,7 +279,9 @@ def main(argv=None) -> int:
     except _UsageExit:
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        result, text = _COMMANDS[args.command](args)
+        print(json.dumps(result) if args.json else text)
+        return EXIT_OK
     except (lb.LabelValidationError, lb.LabelFileError, ar.ArchiveError,
             bd.BudgetError, vq.ModelValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import SoftLabelMatrix, stable_softmax
+from .labels import SoftLabelMatrix, _row_blocks, stable_softmax
 from .optim import AdamW
 
 
@@ -174,9 +174,7 @@ _BLOCK_ELEMENTS = 2**16
 def _mean_of_row_sums(row_terms, n: int, c: int) -> float:
     """Mean over n rows of the row sums of ``row_terms(rows)``, a c-wide block."""
     sums = np.empty(n)
-    step = max(1, _BLOCK_ELEMENTS // c)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
+    for rows in _row_blocks(n, c, _BLOCK_ELEMENTS):
         row_terms(rows).sum(axis=1, out=sums[rows])
     return float(sums.mean())
 

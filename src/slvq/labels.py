@@ -21,6 +21,17 @@ _CODE_PRECISIONS = {v: k for k, v in _PRECISION_CODES.items()}
 SLAB_MAGIC = b"SLAB"
 SLAB_VERSION = 1
 
+_CODEC_BLOCK_ELEMENTS = 2**20   # row-block budget of the codec passes (8 MB of float64)
+
+
+def _row_blocks(n: int, row_elements: int, budget: int) -> list[slice]:
+    """Slices that split n rows of ``row_elements`` evenly into blocks of at most
+    about ``budget`` elements (a row a block if one row is larger; one empty slice
+    if n = 0), the last the largest. No block is a few leftover rows, which BLAS
+    would send to another kernel whose last bits can differ."""
+    blocks = min(max(n, 1), max(1, -(-n * row_elements // budget)))
+    return [slice(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
+
 
 class LabelValidationError(ValueError):
     """Raised when label data violates a structural invariant."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import SoftLabelMatrix
+from .labels import _CODEC_BLOCK_ELEMENTS, SoftLabelMatrix, _row_blocks
 
 STRAIGHT_THROUGH = "straight_through"
 LITERAL_STOP_GRADIENT = "literal_stop_gradient"
@@ -171,18 +171,13 @@ def _nearest_codes(rows: np.ndarray, model: VqaeModel) -> np.ndarray:
     # returns the first (lowest) index on ties
     half_norms = 0.5 * np.einsum("kd,kd->k", model.codebook, model.codebook)
     indices = np.empty(n * model.m, dtype=np.int64)
-    # Blocks of at most 2**20 scores (8 MB) share one buffer. They are split
-    # evenly, so no block is a few rows that BLAS would route to another
-    # kernel, whose last bits can differ.
-    total = segs.shape[0]
-    blocks = max(1, -(-total * model.k // 2**20))
-    scores_buf = np.empty((-(-total // blocks), model.k))
-    for i in range(blocks):
-        start, stop = total * i // blocks, total * (i + 1) // blocks
-        scores = scores_buf[:stop - start]
-        np.matmul(segs[start:stop], model.codebook.T, out=scores)
+    blocks = _row_blocks(segs.shape[0], model.k, _CODEC_BLOCK_ELEMENTS)
+    scores_buf = np.empty((blocks[-1].stop - blocks[-1].start, model.k))
+    for s in blocks:
+        scores = scores_buf[:s.stop - s.start]
+        np.matmul(segs[s], model.codebook.T, out=scores)
         np.subtract(half_norms, scores, out=scores)
-        np.argmin(scores, axis=1, out=indices[start:stop])
+        np.argmin(scores, axis=1, out=indices[s])
     return indices.reshape(n, model.m)
 
 
@@ -199,9 +194,14 @@ def renormalize(y_hat, epsilon: float = 1e-8) -> np.ndarray:
 
     Works in its float64 output buffer; the input is never changed.
     """
+    return _renormalize(y_hat, epsilon, None)
+
+
+def _renormalize(y_hat, epsilon: float, out: np.ndarray | None) -> np.ndarray:
+    """``renormalize`` into ``out`` (a new buffer if None; may be ``y_hat``)."""
     if not (epsilon > 0):
         raise ModelValidationError("epsilon must be positive")
-    out = np.maximum(y_hat, epsilon, dtype=np.float64)
+    out = np.maximum(y_hat, epsilon, out=out, dtype=np.float64)
     out /= out.sum(axis=-1, keepdims=True)
     return out
 
@@ -361,21 +361,20 @@ def refit_decoder(labels: SoftLabelMatrix, model: VqaeModel) -> VqaeModel:
     ordinary least-squares problem in D; solving it directly removes any
     residual decoder suboptimality left by stochastic training.
     """
-    if labels.c != model.c:
-        raise ModelValidationError(f"label c={labels.c} does not match model c={model.c}")
-    # the latent is freed before the quantized latent is gathered
-    indices = _nearest_codes(encode(labels.data, model), model)
-    H_hat = model.codebook[indices].reshape(labels.n, model.d_h)
+    H_hat = model.codebook[compress(labels, model)].reshape(labels.n, model.d_h)
     D_star, *_ = np.linalg.lstsq(H_hat, labels.data, rcond=None)
     return VqaeModel(model.encoder, D_star, model.codebook)
 
 
 def compress(labels: SoftLabelMatrix | np.ndarray, model: VqaeModel) -> np.ndarray:
-    """Quantize every label row; returns the n x m integer code-index matrix."""
+    """Quantize every label row, a row block at a time; returns the n x m indices."""
     Y = _as_rows(labels)
     if Y.ndim != 2 or Y.shape[1] != model.c:
         raise ModelValidationError(f"expected n x {model.c} rows, got shape {Y.shape}")
-    return _nearest_codes(encode(Y, model), model)
+    indices = np.empty((Y.shape[0], model.m), dtype=np.int64)
+    for s in _row_blocks(Y.shape[0], model.d_h, _CODEC_BLOCK_ELEMENTS):
+        indices[s] = _nearest_codes(encode(Y[s], model), model)
+    return indices
 
 
 def _decode_codes(indices, model: VqaeModel) -> np.ndarray:
@@ -385,12 +384,22 @@ def _decode_codes(indices, model: VqaeModel) -> np.ndarray:
         raise ModelValidationError(f"index matrix must be n x {model.m}, got {indices.shape}")
     if indices.size and (indices.min() < 0 or indices.max() >= model.k):
         raise ModelValidationError(f"code index out of range [0, {model.k})")
-    return decode(model.codebook[indices].reshape(indices.shape[0], model.d_h), model)
+    blocks = _row_blocks(indices.shape[0], model.d_h, _CODEC_BLOCK_ELEMENTS)
+    # One gather buffer serves every block. It is made before the output: made
+    # after it, a loop that kept every output page-faulted a fresh buffer per call.
+    h_hat = np.empty((blocks[-1].stop - blocks[-1].start, model.m, model.d_c))
+    out = np.empty((indices.shape[0], model.c))
+    for s in blocks:
+        rows = h_hat[:s.stop - s.start]   # indices are checked, so "clip" never clips
+        np.take(model.codebook, indices[s], axis=0, out=rows, mode="clip")
+        np.matmul(rows.reshape(len(rows), model.d_h), model.decoder, out=out[s])
+    return out
 
 
 def decompress(indices: np.ndarray, model: VqaeModel, epsilon: float = 1e-8) -> SoftLabelMatrix:
-    """Reconstruct soft labels from code indices: lookup, decode, renormalize."""
-    return SoftLabelMatrix(renormalize(_decode_codes(indices, model), epsilon))
+    """Reconstruct soft labels from code indices: lookup, decode, renormalize in place."""
+    decoded = _decode_codes(indices, model)
+    return SoftLabelMatrix(_renormalize(decoded, epsilon, decoded))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,14 @@ def vqae_slar_with_header(rng, edit) -> bytes:
     return _encode_archive(CompressedArchive(CODEC_VQAE, header, archive.arrays, archive.packed))
 
 
+def with_packed_section(slar: bytes, n: int, m: int, bits: int) -> bytes:
+    """``slar``, a SLAR file with no packed sections, given one all-zero
+    ``indices`` section of n x m codes at ``bits`` bits; the CRC is redone."""
+    body = (slar[:-6] + struct.pack("<HH", 1, 7) + b"indices" + struct.pack("<IIB", n, m, bits)
+            + bytes(n * packed_row_bytes(m, bits)))
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 MALFORMED_BODIES = {
     "bad json": crafted_slar(b"{not json"),
     "non-utf8 header": crafted_slar(b"\xff\xfe"),
@@ -127,6 +135,17 @@ class TestBitPacking:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ArchiveError):
             unpack_indices(b"\x00", 2, 4, 3)
+
+    @pytest.mark.parametrize("bits", [0, 33, 64])
+    def test_unpack_rejects_bits_the_writer_rejects(self, bits, tmp_path):
+        # bits = 0 packs n x m codes into no bytes at all
+        n = m = 1000 if bits == 0 else 3
+        with pytest.raises(ArchiveError, match="bits must be in 1..32"):
+            unpack_indices(bytes(n * packed_row_bytes(m, bits)), n, m, bits)
+        path = tmp_path / "bits.slar"
+        path.write_bytes(with_packed_section(crafted_slar(b"{}"), n, m, bits))
+        with pytest.raises(ArchiveError, match="bits must be in 1..32"):
+            read_archive(path)
 
 
 class TestArchiveContainer:

@@ -5,12 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
-from slvq.archive import write_model
+from slvq.archive import CODEC_VQAE, CompressedArchive, _encode_archive, vqae_archive, write_model
 from slvq.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from slvq.labels import SoftLabelMatrix, read_slab, write_slab
 
 from conftest import random_labels
-from test_archive import HEADER_EDITS, MALFORMED_BODIES, f32_model, vqae_slar_with_header
+from test_archive import (
+    HEADER_EDITS,
+    MALFORMED_BODIES,
+    f32_model,
+    vqae_slar_with_header,
+    with_packed_section,
+)
 
 
 @pytest.fixture
@@ -145,6 +151,20 @@ class TestErrorPaths:
                            "--out", str(tmp_path / "o.slab"))
         assert code == EXIT_DATA
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("bits", [0, 33, 64])
+    def test_archive_with_bits_outside_range(self, capsys, rng, tmp_path, bits):
+        model = f32_model(rng)
+        archive = vqae_archive(model, np.zeros((3, model.m), dtype=np.int64))
+        bad = tmp_path / "bad.slar"
+        bad.write_bytes(with_packed_section(
+            _encode_archive(CompressedArchive(CODEC_VQAE, archive.header, archive.arrays)),
+            3, model.m, bits))
+        code, _, err = run(capsys, "decompress", "--archive", str(bad),
+                           "--out", str(tmp_path / "o.slab"))
+        assert code == EXIT_DATA
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "bits must be in 1..32" in err
 
     @pytest.mark.parametrize("short", ["labels", "model"])
     def test_file_shorter_than_header(self, capsys, rng, tmp_path, label_file, short):
