@@ -87,6 +87,15 @@ class CompressedArchive:
             raise ArchiveError(f"unknown codec id {self.codec_id}")
 
 
+def _f32_weights(arrays: dict) -> dict:
+    """``arrays``, once every weight is checked to fit float32, the type sections are stored in."""
+    limit = np.finfo(np.float32).max
+    for name, arr in arrays.items():
+        if arr.size and (arr.min() < -limit or arr.max() > limit):
+            raise ModelValidationError(f"{name} has weights outside the float32 range")
+    return arrays
+
+
 def vqae_archive(model: VqaeModel, indices: np.ndarray, epsilon: float = 1e-8) -> CompressedArchive:
     """Bundle what the decoder side needs: indices, codebook, and decoder."""
     bits = max(1, (model.k - 1).bit_length())
@@ -95,7 +104,7 @@ def vqae_archive(model: VqaeModel, indices: np.ndarray, epsilon: float = 1e-8) -
     return CompressedArchive(
         codec_id=CODEC_VQAE,
         header=header,
-        arrays={"codebook": model.codebook, "decoder": model.decoder},
+        arrays=_f32_weights({"codebook": model.codebook, "decoder": model.decoder}),
         packed={"indices": (np.asarray(indices), bits)},
     )
 
@@ -165,8 +174,9 @@ def _encode_archive(archive: CompressedArchive) -> bytes:
 
 
 def write_archive(archive: CompressedArchive, path) -> None:
+    blob = _encode_archive(archive)   # before open: a failed encode leaves the file as it was
     with open(path, "wb") as f:
-        f.write(_encode_archive(archive))
+        f.write(blob)
 
 
 def read_archive(path) -> CompressedArchive:
@@ -225,7 +235,7 @@ def write_model(model: VqaeModel, path, gradient_mode: str = "straight_through",
     header = {"c": model.c, "d_h": model.d_h, "d_c": model.d_c, "k": model.k,
               "epsilon": float(epsilon), "gradient_mode": gradient_mode}
     arrays = {"encoder": model.encoder, "decoder": model.decoder, "codebook": model.codebook}
-    write_archive(CompressedArchive(CODEC_VQAE, header, arrays), path)
+    write_archive(CompressedArchive(CODEC_VQAE, header, _f32_weights(arrays)), path)
 
 
 def read_model(path):

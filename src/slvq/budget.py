@@ -3,6 +3,11 @@
 All byte counts follow the half-precision-label / single-precision-parameter
 convention: label scalars cost 2 bytes, codec parameters 4 bytes. GB and MB
 are 1024-based throughout (1 GB = 1024^3 bytes).
+
+``vq_bytes`` prices what a SLAR archive stores (less its row padding and
+framing). ``topk_bytes``, ``pca_bytes`` and ``quant_bytes`` are formula
+prices for the paper's tables, not file sizes: the baselines have no
+archive form.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import SoftLabelMatrix, _row_blocks, stable_softmax
+from .labels import LabelValidationError, SoftLabelMatrix, _row_blocks, stable_softmax
 from .optim import AdamW
 
 
@@ -33,8 +33,9 @@ def make_task(seed: int, d: int, c: int, n_per_class: int,
               n_test_per_class: int = 50, spread: float = 1.0) -> SyntheticTask:
     """Class-balanced Gaussian clusters; spread controls class overlap
     (0 -> point clusters, larger -> softer teacher labels)."""
-    if c < 2:
-        raise ValueError(f"need at least 2 classes, got {c}")
+    if c < 2 or n_per_class < 1:
+        raise LabelValidationError(
+            f"need at least 2 classes and 1 sample each, got {c} and {n_per_class}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((c, d))
 

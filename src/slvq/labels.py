@@ -118,6 +118,8 @@ def stable_softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     Works in its float64 output buffer: it allocates nothing else of the
     input's size.
     """
+    if not (temperature > 0):
+        raise LabelValidationError(f"temperature must be positive, got {temperature}")
     out = np.divide(z, float(temperature), dtype=np.float64)
     out -= out.max(axis=-1, keepdims=True)
     np.exp(out, out=out)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labels import _CODEC_BLOCK_ELEMENTS, SoftLabelMatrix, _row_blocks
+from .optim import AdamW
 
 STRAIGHT_THROUGH = "straight_through"
 LITERAL_STOP_GRADIENT = "literal_stop_gradient"
@@ -103,6 +104,9 @@ class TrainConfig:
             raise ModelValidationError("epsilon must be positive")
         if not (self.lr > 0):
             raise ModelValidationError("lr must be positive")
+        if self.batch_size < 1 or self.max_steps < 0:
+            raise ModelValidationError(f"need batch_size >= 1 and max_steps >= 0, got "
+                                       f"{self.batch_size} and {self.max_steps}")
         if self.gradient_mode not in GRADIENT_MODES:
             raise ModelValidationError(f"unknown gradient mode {self.gradient_mode!r}")
 
@@ -268,8 +272,6 @@ def _init_model(Y: np.ndarray, d_h: int, d_c: int, k: int, rng: np.random.Genera
                 scale: float = 1.0) -> VqaeModel:
     """Fan-in uniform init for P and D; codebook sampled from encoder outputs."""
     c = Y.shape[1]
-    if d_h % d_c != 0:
-        raise ModelValidationError(f"d_h={d_h} not divisible by d_c={d_c}")
     P = rng.uniform(-scale, scale, size=(c, d_h)) / np.sqrt(c)
     D = rng.uniform(-scale, scale, size=(d_h, c)) / np.sqrt(d_h)
     sample = _sample_latent_segments(Y, P, d_c, k, rng)
@@ -303,22 +305,27 @@ def fit(labels: SoftLabelMatrix | np.ndarray, d_h: int, d_c: int, k: int,
         init_model: VqaeModel | None = None):
     """Train the codec on cached soft labels with decoupled-weight-decay Adam.
 
+    Checks its arguments once, then updates one model's arrays in place.
     Deterministic given the seed. Returns (model, trace); aborts with a
-    TrainingError carrying the trace if the loss goes non-finite.
+    TrainingError carrying the trace if the loss or an update goes non-finite.
     """
-    from .optim import AdamW
-
     Y = _as_rows(labels)
+    if min(d_h, d_c, k) < 1 or d_h % d_c != 0:
+        raise ModelValidationError(
+            f"need d_h, d_c, k >= 1 with d_c dividing d_h, got d_h={d_h}, d_c={d_c}, k={k}")
     if Y.shape[0] < config.batch_size:
         raise ModelValidationError(
             f"need n >= batch_size, got n={Y.shape[0]}, batch_size={config.batch_size}")
+    dims = (Y.shape[1], d_h, d_c, k)
+    if init_model is not None and (init_model.c, init_model.d_h, init_model.d_c, init_model.k) != dims:
+        raise ModelValidationError(f"init_model shape (c, d_h, d_c, k) = ({init_model.c}, "
+                                   f"{init_model.d_h}, {init_model.d_c}, {init_model.k}), "
+                                   f"expected {dims}")
     rng = np.random.default_rng(config.seed)
-    model = _init_model(Y, d_h, d_c, k, rng, config.init_scale) if init_model is None else init_model
-    params = {
-        "encoder": _encoder(model).copy(),
-        "decoder": model.decoder.copy(),
-        "codebook": model.codebook.copy(),
-    }
+    init = _init_model(Y, d_h, d_c, k, rng, config.init_scale) if init_model is None else init_model
+    params = {"encoder": _encoder(init).copy(), "decoder": init.decoder.copy(),
+              "codebook": init.codebook.copy()}
+    model = VqaeModel(**params)   # keeps the arrays, so it sees every in-place update
     opt = AdamW({name: params[name] for name in trainable},
                 lr=config.lr, weight_decay=config.weight_decay)
     trace = TrainTrace()
@@ -333,17 +340,19 @@ def fit(labels: SoftLabelMatrix | np.ndarray, d_h: int, d_c: int, k: int,
             order = rng.permutation(n)
             epoch_usage[:] = 0
         batch_idx, order = order[:config.batch_size], order[config.batch_size:]
-        current = VqaeModel(params["encoder"], params["decoder"], params["codebook"])
+        # a weight can only leave the finite range in the update, and a finite
+        # but huge one overflows the next step's products: both are divergence
         try:
-            losses, grads, batch_indices = _cache_loss_grads_aux(Y[batch_idx], current, config)
-        except TrainingError as err:
-            raise TrainingError(str(err), trace=trace, step=step) from None
-        usage = np.bincount(batch_indices.reshape(-1), minlength=k)
-        epoch_usage += usage
-        trace.append(losses["rec"], losses["vq"], losses["total"], usage)
-        opt.step({name: grads[name] for name in trainable})
+            with np.errstate(over="raise", invalid="raise"):
+                losses, grads, batch_indices = _cache_loss_grads_aux(Y[batch_idx], model, config)
+                usage = np.bincount(batch_indices.reshape(-1), minlength=k)
+                epoch_usage += usage
+                trace.append(losses["rec"], losses["vq"], losses["total"], usage)
+                opt.step({name: grads[name] for name in trainable})
+        except (TrainingError, FloatingPointError) as err:
+            raise TrainingError(f"step {step}: {err}", trace=trace, step=step) from None
 
-    return VqaeModel(params["encoder"], params["decoder"], params["codebook"]), trace
+    return VqaeModel(**params), trace
 
 
 def _reinit_dead_codes(params, Y, epoch_usage, rng):

@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -289,6 +290,32 @@ class TestModelFile:
         assert sorted(archive.arrays) == ["codebook", "decoder", "encoder"]
         assert archive.header == {"c": 6, "d_h": 8, "d_c": 4, "k": 5, "epsilon": 1e-5,
                                   "gradient_mode": "literal_stop_gradient"}
+
+    def test_failed_write_leaves_existing_file(self, rng, tmp_path):
+        path = tmp_path / "model.slvq"
+        write_model(f32_model(rng), path)
+        before = path.read_bytes()
+        unpackable = CompressedArchive(CODEC_VQAE, {}, packed={"indices": (np.array([[9]]), 2)})
+        with pytest.raises(ArchiveError):
+            write_archive(unpackable, path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("writer, name", [("model", "encoder"), ("model", "decoder"),
+                                              ("model", "codebook"), ("archive", "decoder"),
+                                              ("archive", "codebook")])
+    def test_weights_float32_cannot_hold_rejected(self, rng, tmp_path, writer, name):
+        model = f32_model(rng)
+        weights = {"encoder": model.encoder, "decoder": model.decoder, "codebook": model.codebook}
+        weights[name] = weights[name] * -1e39
+        big = VqaeModel(**weights)
+        path = tmp_path / "model.slvq"
+        with warnings.catch_warnings(), pytest.raises(ModelValidationError, match="float32"):
+            warnings.simplefilter("error")
+            if writer == "model":
+                write_model(big, path)
+            else:
+                write_archive(vqae_archive(big, np.zeros((1, big.m), dtype=np.int64)), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("name", sorted(MODEL_EDITS))
     def test_inconsistent_model_raises_archive_error(self, rng, name, tmp_path):

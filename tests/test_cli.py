@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slvq.archive import CODEC_VQAE, CompressedArchive, _encode_archive, vqae_archive, write_model
-from slvq.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from slvq.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from slvq.labels import SoftLabelMatrix, read_slab, write_slab
 
 from conftest import random_labels
@@ -228,6 +228,56 @@ class TestErrorPaths:
         code, _, err = run(capsys, command, *argv, "--out", str(tmp_path / "o"))
         assert code == EXIT_DATA
         assert err.startswith("error:")
+
+
+class TestFitAndEvalArguments:
+    """Every bad fit or eval ends in one line: ``error:`` (exit 2) or
+    ``numeric failure:`` (exit 3), with no traceback and no RuntimeWarning."""
+
+    def fit(self, capsys, label_file, out, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(capsys, "fit", "--labels", str(label_file), "--out", str(out),
+                       "--d-h", "4", "--d-c", "2", "--k", "4", *argv)
+
+    @pytest.mark.parametrize("argv", [["--d-c", "0"], ["--d-h", "0"], ["--d-h", "5"],
+                                      ["--k", "-1"], ["--batch-size", "0"], ["--steps", "-1"]],
+                             ids=" ".join)
+    def test_bad_fit_argument(self, capsys, label_file, tmp_path, argv):
+        code, _, err = self.fit(capsys, label_file, tmp_path / "m.slvq", *argv)
+        assert code == EXIT_DATA
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "m.slvq").exists()
+
+    # lr 1e160 overflows the first update; weight decay 1e308 leaves finite
+    # weights near 1e304 that overflow the second step's distance products
+    @pytest.mark.parametrize("argv", [["--lr", "1e160"], ["--weight-decay", "1e308"]],
+                             ids=" ".join)
+    def test_diverging_fit_is_a_numeric_failure(self, capsys, label_file, tmp_path, argv):
+        code, _, err = self.fit(capsys, label_file, tmp_path / "m.slvq", *argv)
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numeric failure: step") and err.count("\n") == 1
+        assert not (tmp_path / "m.slvq").exists()
+
+    def test_weights_float32_cannot_hold_are_not_written(self, capsys, label_file, tmp_path):
+        # four steps at lr 1e10 leave weights finite in float64 but beyond float32
+        code, _, err = self.fit(capsys, label_file, tmp_path / "m.slvq",
+                                "--lr", "1e10", "--steps", "4")
+        assert code == EXIT_DATA
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "float32" in err
+        assert not (tmp_path / "m.slvq").exists()
+
+    @pytest.mark.parametrize("argv", [["--classes", "1"], ["--n-per-class", "0"], ["--tau", "0"],
+                                      ["--d-c", "0"]], ids=" ".join)
+    def test_bad_eval_argument(self, capsys, argv):
+        # 4 classes x 4 rows x 4 views fill one 64-row batch, so fit checks d_c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "eval", "--classes", "4", "--n-per-class", "4",
+                               "--views", "4", "--steps", "1", "--student-epochs", "1", *argv)
+        assert code == EXIT_DATA
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestConfigAndSeed:

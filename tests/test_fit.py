@@ -191,3 +191,55 @@ class TestFit:
         s = np.linalg.svd(centered, compute_uv=False)
         floor = (s[d_h:] ** 2).sum() / labels.n
         assert trace.loss_rec[-1] >= floor - 1e-9
+
+
+class TestFitOwnsOneModel:
+    """fit checks its inputs once, trains one model in place and checks it
+    again only at return."""
+
+    def test_builds_no_model_per_step(self, rng, monkeypatch):
+        built = []
+        post_init = VqaeModel.__post_init__
+        monkeypatch.setattr(VqaeModel, "__post_init__",
+                            lambda model: (built.append(model), post_init(model)))
+        fit(random_labels(rng, 64, 8), 4, 2, 4, quick_config(max_steps=50))
+        assert len(built) <= 3   # the init, the trained model and the returned model
+
+    def test_diverging_update_is_a_training_error(self, rng):
+        # the first update moves every weight by lr; the decay then overflows
+        with pytest.raises(TrainingError, match="step 0: overflow") as exc_info:
+            fit(random_labels(rng, 64, 8), 4, 2, 4, quick_config(lr=1e160))
+        assert exc_info.value.step == 0
+        assert len(exc_info.value.trace) == 1
+
+    @pytest.mark.parametrize("c, d_h, d_c, k", [(8, 4, 2, 8), (8, 8, 2, 4), (8, 4, 4, 4),
+                                                (6, 4, 2, 4)], ids=["k", "d_h", "d_c", "c"])
+    def test_init_model_of_another_shape_rejected(self, rng, c, d_h, d_c, k):
+        init, _ = fit(random_labels(rng, 64, c), d_h, d_c, k, quick_config(max_steps=1))
+        with pytest.raises(ModelValidationError, match="init_model shape"):
+            fit(random_labels(rng, 64, 8), 4, 2, 4, quick_config(), init_model=init)
+
+    @pytest.mark.parametrize("d_h, d_c, k", [(0, 2, 4), (4, 0, 4), (4, 2, 0), (-4, -2, 4)])
+    def test_dimensions_below_one_rejected(self, rng, d_h, d_c, k):
+        with pytest.raises(ModelValidationError, match="need d_h, d_c, k >= 1"):
+            fit(random_labels(rng, 64, 8), d_h, d_c, k, quick_config())
+
+    @pytest.mark.parametrize("overrides", [dict(batch_size=0), dict(batch_size=-1),
+                                           dict(max_steps=-1)])
+    def test_config_rejects_empty_batch_and_negative_steps(self, overrides):
+        with pytest.raises(ModelValidationError, match="batch_size >= 1 and max_steps >= 0"):
+            quick_config(**overrides)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["encoder", "decoder", "codebook"])
+    def test_non_finite_weight_never_returned(self, rng, monkeypatch, name, value):
+        step = AdamW.step
+
+        def poisoned(opt, grads):
+            step(opt, grads)
+            if opt.t == 1:
+                opt.params[name].flat[0] = value
+
+        monkeypatch.setattr(AdamW, "step", poisoned)
+        with pytest.raises((TrainingError, ModelValidationError)):
+            fit(random_labels(rng, 64, 8), 4, 2, 4, quick_config(max_steps=5))

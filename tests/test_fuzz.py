@@ -1,4 +1,5 @@
-"""Byte-mutation and truncation fuzzing of the files slvq reads.
+"""Byte-mutation and truncation fuzzing of the files slvq reads, and
+argument fuzzing of ``slvq fit``.
 
 Model files and label archives are CRC-checked SLAR containers, so every
 altered one must be rejected with exit 2. SLAB label files carry no
@@ -8,6 +9,7 @@ traceback.
 
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -82,3 +84,23 @@ def test_altered_label_file_exits_0_or_2(files, data):
     code, err = run_altered(files, "labels", data)
     assert code in (EXIT_OK, EXIT_DATA)
     assert code == EXIT_OK or err.startswith("error:")
+
+
+@given(d_h=st.integers(-2, 9), d_c=st.integers(-2, 9), k=st.integers(-2, 9),
+       batch_size=st.integers(-2, 70), steps=st.integers(-2, 3))
+@settings(max_examples=100, deadline=None)
+def test_fit_arguments_exit_0_or_one_error_line(files, d_h, d_c, k, batch_size, steps):
+    labels = files["labels"][0]
+    out = labels.with_name("fuzz.slvq")
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = cli(["fit", "--labels", labels, "--out", out, "--d-h", d_h, "--d-c", d_c,
+                         "--k", k, "--batch-size", batch_size, "--steps", steps])
+    if code == EXIT_OK:
+        assert err == ""
+        assert cli(compress_argv({"labels": labels, "model": out},
+                                 labels.with_name("fuzz.slar")))[0] == EXIT_OK
+    else:
+        assert code == EXIT_DATA
+        assert err.startswith("error:") and err.count("\n") == 1

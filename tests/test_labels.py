@@ -109,6 +109,11 @@ class TestSoftmax:
         cold = stable_softmax(z, temperature=0.1)
         assert hot[0, 1] < cold[0, 1]
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    def test_non_positive_temperature_rejected(self, temperature):
+        with pytest.raises(LabelValidationError, match="temperature must be positive"):
+            stable_softmax(np.array([[0.0, 5.0]]), temperature)
+
     def test_extreme_logits_do_not_overflow(self):
         p = stable_softmax(np.array([[1e4, -1e4, 0.0]]))
         assert np.isfinite(p).all()
