@@ -104,6 +104,9 @@ class TrainConfig:
             raise ModelValidationError("epsilon must be positive")
         if not (self.lr > 0):
             raise ModelValidationError("lr must be positive")
+        if not (0 <= self.weight_decay < np.inf):
+            raise ModelValidationError(f"weight_decay must be finite and non-negative, "
+                                       f"got {self.weight_decay}")
         if self.batch_size < 1 or self.max_steps < 0:
             raise ModelValidationError(f"need batch_size >= 1 and max_steps >= 0, got "
                                        f"{self.batch_size} and {self.max_steps}")
@@ -164,23 +167,42 @@ def quantize_latent(h, model: VqaeModel):
 
 
 def _nearest_codes(rows: np.ndarray, model: VqaeModel) -> np.ndarray:
-    """The n x m code indices of n latent rows (ties -> lowest index)."""
+    """The n x m code indices of n latent rows (ties -> lowest index).
+
+    argmin_j ||s - mu_j||^2 == argmin_j (0.5 ||mu_j||^2 - s.mu_j), and one GEMM
+    gives the bracket: each segment, padded with a 1, times a (d_c+1) x k table
+    of -mu_j over 0.5 ||mu_j||^2. BLAS writes each score block once and argmin
+    reads it once. The product runs the FMA chain of s.mu_j negated (exact)
+    and adds 0.5 ||mu_j||^2 in one rounding, so each score is the double
+    ``half_norm_j - s.mu_j``. On OpenBLAS the last bit can differ where the
+    product splits K into panels (d_c >= 384), goes to gemv (one segment) or
+    to the small-matrix kernel (a few segments against a small codebook at
+    d_c >= 40); only a near-tie can then change an index.
+    """
     if rows.shape[1] != model.d_h:
         raise ModelValidationError(f"expected latent dim {model.d_h}, got {rows.shape[1]}")
     if not np.isfinite(rows).all():
         raise ModelValidationError("latent contains non-finite entries")
-    n = rows.shape[0]
-    segs = rows.reshape(n * model.m, model.d_c)
-    # argmin_j ||s - mu_j||^2 == argmin_j (||mu_j||^2 - 2 s.mu_j); argmin
-    # returns the first (lowest) index on ties
-    half_norms = 0.5 * np.einsum("kd,kd->k", model.codebook, model.codebook)
+    n, d_c, k = rows.shape[0], model.d_c, model.k
+    segs = rows.reshape(n * model.m, d_c)
+    # built as its k x (d_c+1) transpose, so BLAS sees codebook.T's layout
+    table_t = np.empty((k, d_c + 1))
+    np.negative(model.codebook, out=table_t[:, :d_c])
+    table_t[:, d_c] = 0.5 * np.einsum("kd,kd->k", model.codebook, model.codebook)
     indices = np.empty(n * model.m, dtype=np.int64)
-    blocks = _row_blocks(segs.shape[0], model.k, _CODEC_BLOCK_ELEMENTS)
-    scores_buf = np.empty((blocks[-1].stop - blocks[-1].start, model.k))
+    # the scores and the padded segments share one buffer of one block budget,
+    # the scores BLAS writes at its aligned start
+    blocks = _row_blocks(segs.shape[0], k + d_c + 1, _CODEC_BLOCK_ELEMENTS)
+    block_rows = blocks[-1].stop - blocks[-1].start
+    buf = np.empty(block_rows * (k + d_c + 1))
+    scores_buf = buf[:block_rows * k].reshape(block_rows, k)
+    padded_buf = buf[block_rows * k:].reshape(block_rows, d_c + 1)
+    padded_buf[:, d_c] = 1.0
     for s in blocks:
-        scores = scores_buf[:s.stop - s.start]
-        np.matmul(segs[s], model.codebook.T, out=scores)
-        np.subtract(half_norms, scores, out=scores)
+        rows_s = s.stop - s.start
+        padded, scores = padded_buf[:rows_s], scores_buf[:rows_s]
+        padded[:, :d_c] = segs[s]
+        np.matmul(padded, table_t.T, out=scores)
         np.argmin(scores, axis=1, out=indices[s])
     return indices.reshape(n, model.m)
 

@@ -249,6 +249,17 @@ class TestFitAndEvalArguments:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "m.slvq").exists()
 
+    # nan used to train NaN weights and stop on the latent, inf to overflow a
+    # step, and -1 to train with weights that grow
+    @pytest.mark.parametrize("decay", ["nan", "inf", "-1"])
+    def test_bad_weight_decay_is_named(self, capsys, label_file, tmp_path, decay):
+        code, _, err = self.fit(capsys, label_file, tmp_path / "m.slvq",
+                                "--weight-decay", decay)
+        assert code == EXIT_DATA
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "weight_decay" in err
+        assert not (tmp_path / "m.slvq").exists()
+
     # lr 1e160 overflows the first update; weight decay 1e308 leaves finite
     # weights near 1e304 that overflow the second step's distance products
     @pytest.mark.parametrize("argv", [["--lr", "1e160"], ["--weight-decay", "1e308"]],

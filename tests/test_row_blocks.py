@@ -1,8 +1,8 @@
 """Every whole-matrix codec pass runs in row blocks from ``labels._row_blocks``.
 
-The blocked compress, decompress, pack and unpack are checked bit for bit
-against reference copies of their whole-matrix forms, and ``traced_peak``
-bounds what each holds beyond its output.
+The blocked nearest-code search, compress, decompress, pack and unpack are
+checked bit for bit against reference copies of their whole-matrix forms, and
+``traced_peak`` bounds what each holds beyond its output.
 """
 
 import numpy as np
@@ -40,6 +40,13 @@ def reference_unpack_indices(blob, n, m, bits):
     bit_rows = np.unpackbits(raw, axis=1)[:, : m * bits].reshape(n, m, bits)
     weights = (1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
     return (bit_rows.astype(np.int64) * weights).sum(axis=2)
+
+
+def reference_nearest_codes(rows, model):
+    segs = rows.reshape(rows.shape[0] * model.m, model.d_c)
+    cb = model.codebook
+    scores = 0.5 * np.einsum("kd,kd->k", cb, cb) - segs @ cb.T
+    return np.argmin(scores, axis=1).reshape(rows.shape[0], model.m)
 
 
 def reference_compress(Y, model):
@@ -109,6 +116,51 @@ class TestPackBits:
         np.testing.assert_array_equal(unpack_indices(memoryview(blob), 70, 40, 9), indices)
 
 
+def latent_model(rng, d_h, d_c, k, c=100):
+    """A model whose codes are drawn like the segments of ``latent_rows``."""
+    return VqaeModel(rng.standard_normal((c, d_h)), rng.standard_normal((d_h, c)),
+                     0.3 * rng.standard_normal((k, d_c)))
+
+
+def latent_rows(rng, n, d_h):
+    return 0.3 * rng.standard_normal((n, d_h))
+
+
+# (rows, d_h, d_c, k): desk, criterion 8's three smallest codebooks, criterion 7
+SEARCH_SHAPES = [(4000, 400, 40, 256), (4000, 400, 5, 2), (4000, 400, 10, 4),
+                 (4000, 400, 20, 16), (4000, 200, 50, 256)]
+
+
+class TestNearestCodeBits:
+    """The one-GEMM search gives the indices of ``0.5 ||mu||^2 - s.mu``."""
+
+    def test_paper_setting(self, rng):
+        model = paper_model(rng)
+        rows = random_labels(rng, 4096, model.c).data @ model.encoder
+        assert_same_bits(_nearest_codes(rows, model), reference_nearest_codes(rows, model))
+
+    @pytest.mark.parametrize("n,d_h,d_c,k", SEARCH_SHAPES)
+    def test_setting(self, n, d_h, d_c, k):
+        rng = np.random.default_rng(k * 1000 + d_c)
+        model, rows = latent_model(rng, d_h, d_c, k), latent_rows(rng, n, d_h)
+        assert_same_bits(_nearest_codes(rows, model), reference_nearest_codes(rows, model))
+
+    def test_exact_ties_go_to_the_lowest_index(self, rng):
+        # every code appears twice at shuffled places, so every segment ties
+        # exactly; the search spans several blocks
+        d_h, d_c, k = 400, 40, 256
+        codebook = np.empty((k, d_c))
+        codebook[rng.permutation(k)] = np.tile(0.3 * rng.standard_normal((k // 2, d_c)), (2, 1))
+        model = VqaeModel(rng.standard_normal((100, d_h)), rng.standard_normal((d_h, 100)),
+                          codebook)
+        rows = latent_rows(rng, 4000, d_h)
+        assert len(_row_blocks(4000 * model.m, k + d_c + 1, _CODEC_BLOCK_ELEMENTS)) > 1
+        indices = _nearest_codes(rows, model)
+        assert_same_bits(indices, reference_nearest_codes(rows, model))
+        first = {tuple(code): j for j, code in reversed(list(enumerate(codebook)))}
+        assert all(first[tuple(codebook[j])] == j for j in np.unique(indices))
+
+
 class TestCodecBits:
     @pytest.mark.parametrize("n,blocks", [(1000, 1), (2000, 2), (3000, 3)])
     def test_compress_decompress_refit_match_reference(self, n, blocks):
@@ -133,6 +185,15 @@ class TestCodecPeaks:
         blob = pack_indices(rng.integers(0, 512, size=(50_000, 40)), 9)
         out, peak = traced_peak(unpack_indices, blob, 50_000, 40, 9)
         assert peak <= out.nbytes + 8 * MB
+
+    @pytest.mark.parametrize("n,d_h,d_c,k", [(4000, 400, 5, 2), (4096, 1000, 25, 512),
+                                             (4000, 400, 40, 256)])
+    def test_search_holds_one_score_block(self, n, d_h, d_c, k):
+        # the scores and the padded segments share one block budget
+        rng = np.random.default_rng(k)
+        model, rows = latent_model(rng, d_h, d_c, k), latent_rows(rng, n, d_h)
+        out, peak = traced_peak(_nearest_codes, rows, model)
+        assert peak <= out.nbytes + 8.25 * MB
 
     def test_compress_holds_one_latent_block(self, rng):
         # the fit-paper benchmark's 4,096-row slice
