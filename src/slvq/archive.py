@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labels import _CODEC_BLOCK_ELEMENTS, _row_blocks
-from .vqae import GRADIENT_MODES, ModelValidationError, VqaeModel, decompress
+from .vqae import GRADIENT_MODES, ModelValidationError, VqaeModel, _finite_positive, decompress
 
 SLAR_MAGIC = b"SLAR"
 SLAR_VERSION = 1
@@ -98,6 +98,8 @@ def _f32_weights(arrays: dict) -> dict:
 
 def vqae_archive(model: VqaeModel, indices: np.ndarray, epsilon: float = 1e-8) -> CompressedArchive:
     """Bundle what the decoder side needs: indices, codebook, and decoder."""
+    if not _finite_positive(epsilon):
+        raise ModelValidationError(f"cannot write epsilon {epsilon!r}")
     bits = max(1, (model.k - 1).bit_length())
     header = {"c": model.c, "d_h": model.d_h, "d_c": model.d_c, "k": model.k,
               "n": int(np.asarray(indices).shape[0]), "epsilon": epsilon}
@@ -122,7 +124,7 @@ def _load_vqae(archive: CompressedArchive):
         raise ArchiveError(f"malformed VQAE archive ({type(err).__name__}: {err})") from None
     if wrong:
         raise ArchiveError(f"header {', '.join(wrong)} disagree with the stored sections")
-    if type(epsilon) not in (int, float) or not epsilon > 0:
+    if type(epsilon) not in (int, float) or not _finite_positive(epsilon):
         raise ArchiveError(f"epsilon must be a positive number, got {epsilon!r}")
     return model, epsilon
 
@@ -149,28 +151,24 @@ def decompress_vqae_archive(archive: CompressedArchive):
 # ---------------------------------------------------------------------------
 
 def _encode_archive(archive: CompressedArchive) -> bytes:
-    parts = [SLAR_MAGIC, struct.pack("<HB", SLAR_VERSION, archive.codec_id)]
     header_blob = json.dumps(archive.header, sort_keys=True).encode()
-    parts.append(struct.pack("<I", len(header_blob)))
-    parts.append(header_blob)
-    parts.append(struct.pack("<H", len(archive.arrays)))
+    parts = [SLAR_MAGIC, struct.pack("<HBI", SLAR_VERSION, archive.codec_id, len(header_blob)),
+             header_blob, struct.pack("<H", len(archive.arrays))]
     for name in sorted(archive.arrays):
         arr = np.ascontiguousarray(archive.arrays[name], dtype="<f4")
         nm = name.encode()
-        parts.append(struct.pack("<H", len(nm)))
-        parts.append(nm)
-        parts.append(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        parts.append(arr.tobytes())
+        parts += [struct.pack("<H", len(nm)), nm, struct.pack("<II", *arr.shape), arr.tobytes()]
     parts.append(struct.pack("<H", len(archive.packed)))
     for name in sorted(archive.packed):
         indices, bits = archive.packed[name]
         nm = name.encode()
-        parts.append(struct.pack("<H", len(nm)))
-        parts.append(nm)
-        parts.append(struct.pack("<IIB", indices.shape[0], indices.shape[1], bits))
-        parts.append(pack_indices(indices, bits))
-    body = b"".join(parts)
-    return body + struct.pack("<I", zlib.crc32(body))
+        parts += [struct.pack("<H", len(nm)), nm, struct.pack("<IIB", *indices.shape, bits),
+                  pack_indices(indices, bits)]
+    # a running CRC, so the body is joined once, trailer included
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([*parts, struct.pack("<I", crc)])
 
 
 def write_archive(archive: CompressedArchive, path) -> None:
@@ -229,7 +227,7 @@ def write_model(model: VqaeModel, path, gradient_mode: str = "straight_through",
                 epsilon: float = 1e-8) -> None:
     if model.encoder is None:
         raise ModelValidationError("a decode-side model has no encoder to write")
-    if gradient_mode not in GRADIENT_MODES or not epsilon > 0:
+    if gradient_mode not in GRADIENT_MODES or not _finite_positive(epsilon):
         raise ModelValidationError(
             f"cannot write gradient mode {gradient_mode!r} with epsilon {epsilon!r}")
     header = {"c": model.c, "d_h": model.d_h, "d_c": model.d_c, "k": model.k,

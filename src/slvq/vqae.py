@@ -9,6 +9,7 @@ simplex before use.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,14 @@ from .optim import AdamW
 STRAIGHT_THROUGH = "straight_through"
 LITERAL_STOP_GRADIENT = "literal_stop_gradient"
 GRADIENT_MODES = (STRAIGHT_THROUGH, LITERAL_STOP_GRADIENT)
+# TrainConfig's float fields, each must be finite: name -> whether it may be 0
+_FLOAT_FIELDS = {"alpha": True, "beta": True, "weight_decay": True, "init_scale": True,
+                 "lr": False, "epsilon": False}
+
+
+def _finite_positive(x) -> bool:
+    """A finite number above 0 (NaN fails both tests): the one check on epsilon."""
+    return 0 < x <= sys.float_info.max
 
 
 class ModelValidationError(ValueError):
@@ -98,15 +107,11 @@ class TrainConfig:
     init_scale: float = 1.0       # multiplier on the fan-in init bounds
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ModelValidationError("alpha and beta must be non-negative")
-        if not (self.epsilon > 0):
-            raise ModelValidationError("epsilon must be positive")
-        if not (self.lr > 0):
-            raise ModelValidationError("lr must be positive")
-        if not (0 <= self.weight_decay < np.inf):
-            raise ModelValidationError(f"weight_decay must be finite and non-negative, "
-                                       f"got {self.weight_decay}")
+        for name, zero_ok in _FLOAT_FIELDS.items():
+            value = getattr(self, name)
+            if not (_finite_positive(value) or zero_ok and value == 0):
+                raise ModelValidationError(f"{name} must be finite and "
+                                           f"{'non-negative' if zero_ok else 'positive'}, got {value}")
         if self.batch_size < 1 or self.max_steps < 0:
             raise ModelValidationError(f"need batch_size >= 1 and max_steps >= 0, got "
                                        f"{self.batch_size} and {self.max_steps}")
@@ -116,18 +121,17 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-step loss curves plus codebook usage histograms."""
+    """Per-step loss curves and one k-length code usage histogram per epoch."""
 
     loss_rec: list = field(default_factory=list)
     loss_vq: list = field(default_factory=list)
     loss_total: list = field(default_factory=list)
     code_usage: list = field(default_factory=list)
 
-    def append(self, l_rec, l_vq, l_total, usage):
+    def append(self, l_rec, l_vq, l_total):
         self.loss_rec.append(float(l_rec))
         self.loss_vq.append(float(l_vq))
         self.loss_total.append(float(l_total))
-        self.code_usage.append(usage)
 
     def __len__(self):
         return len(self.loss_total)
@@ -225,8 +229,8 @@ def renormalize(y_hat, epsilon: float = 1e-8) -> np.ndarray:
 
 def _renormalize(y_hat, epsilon: float, out: np.ndarray | None) -> np.ndarray:
     """``renormalize`` into ``out`` (a new buffer if None; may be ``y_hat``)."""
-    if not (epsilon > 0):
-        raise ModelValidationError("epsilon must be positive")
+    if not _finite_positive(epsilon):
+        raise ModelValidationError(f"epsilon must be finite and positive, got {epsilon}")
     out = np.maximum(y_hat, epsilon, out=out, dtype=np.float64)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -354,23 +358,21 @@ def fit(labels: SoftLabelMatrix | np.ndarray, d_h: int, d_c: int, k: int,
 
     n = Y.shape[0]
     order = np.array([], dtype=np.intp)
-    epoch_usage = np.zeros(k, dtype=np.int64)
     for step in range(config.max_steps):
         if order.size < config.batch_size:
             if config.dead_code_reinit and step > 0:
-                _reinit_dead_codes(params, Y, epoch_usage, rng)
+                _reinit_dead_codes(params, Y, trace.code_usage[-1], rng)
             order = rng.permutation(n)
-            epoch_usage[:] = 0
+            trace.code_usage.append(np.zeros(k, dtype=np.int64))
         batch_idx, order = order[:config.batch_size], order[config.batch_size:]
         # a weight can only leave the finite range in the update, and a finite
         # but huge one overflows the next step's products: both are divergence
         try:
             with np.errstate(over="raise", invalid="raise"):
                 losses, grads, batch_indices = _cache_loss_grads_aux(Y[batch_idx], model, config)
-                usage = np.bincount(batch_indices.reshape(-1), minlength=k)
-                epoch_usage += usage
-                trace.append(losses["rec"], losses["vq"], losses["total"], usage)
-                opt.step({name: grads[name] for name in trainable})
+                trace.code_usage[-1] += np.bincount(batch_indices.reshape(-1), minlength=k)
+                trace.append(losses["rec"], losses["vq"], losses["total"])
+                opt.step(grads)   # AdamW reads only the gradients of what it trains
         except (TrainingError, FloatingPointError) as err:
             raise TrainingError(f"step {step}: {err}", trace=trace, step=step) from None
 

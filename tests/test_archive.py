@@ -28,7 +28,7 @@ from slvq.archive import (
 from slvq.labels import SoftLabelMatrix
 from slvq.vqae import ModelValidationError, VqaeModel, compress, decompress
 
-from conftest import random_labels
+from conftest import random_labels, traced_peak
 
 
 def f32_model(rng, c=6, d_h=8, d_c=4, k=5):
@@ -79,6 +79,7 @@ HEADER_EDITS = {
     "missing k": lambda h: h.pop("k"),
     "mismatched c": lambda h: h.update(c=h["c"] + 1),
     "epsilon not a number": lambda h: h.update(epsilon="tiny"),
+    "epsilon infinite": lambda h: h.update(epsilon=float("inf")),   # JSON ``Infinity``
 }
 
 # edits of a model file's (header, arrays) -> what read_model's ArchiveError says
@@ -97,6 +98,8 @@ MODEL_EDITS = {
     "epsilon not a number": (lambda h, a: h.update(epsilon="tiny"),
                              "epsilon must be a positive number"),
     "epsilon zero": (lambda h, a: h.update(epsilon=0.0), "epsilon must be a positive number"),
+    "epsilon infinite": (lambda h, a: h.update(epsilon=float("inf")),
+                         "epsilon must be a positive number"),
 }
 
 
@@ -216,6 +219,23 @@ class TestArchiveContainer:
                                 archive.arrays, archive.packed)
         with pytest.raises(ArchiveError):
             decompress_vqae_archive(bad)
+
+    @pytest.mark.parametrize("epsilon", [0.0, np.inf, np.nan])
+    def test_writers_reject_epsilon_the_reader_rejects(self, rng, epsilon, tmp_path):
+        model = f32_model(rng)
+        with pytest.raises(ModelValidationError, match="epsilon"):
+            vqae_archive(model, np.zeros((3, model.m), dtype=np.int64), epsilon)
+        with pytest.raises(ModelValidationError, match="epsilon"):
+            write_model(model, tmp_path / "m.slvq", epsilon=epsilon)
+        assert not (tmp_path / "m.slvq").exists()
+
+    def test_encode_holds_the_file_about_twice(self, rng):
+        # 200,000 x 40 nine-bit codes, an 8.6 MiB file: the sections and the
+        # joined file, plus one row block of packing temporaries
+        model = f32_model(rng, c=6, d_h=40, d_c=1, k=512)
+        indices = rng.integers(0, 512, size=(200_000, 40), dtype=np.uint16)
+        blob, peak = traced_peak(_encode_archive, vqae_archive(model, indices))
+        assert peak < 2.25 * len(blob)
 
 
 class TestMalformedArchives:

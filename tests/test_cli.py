@@ -260,6 +260,17 @@ class TestFitAndEvalArguments:
         assert "weight_decay" in err
         assert not (tmp_path / "m.slvq").exists()
 
+    # nan or inf alpha, beta and lr used to fail the first step (exit 3), and
+    # epsilon inf wrote a model whose archives could not be decoded
+    @pytest.mark.parametrize("argv", [["--alpha", "nan"], ["--alpha", "inf"], ["--beta", "nan"],
+                                      ["--lr", "inf"], ["--epsilon", "inf"]], ids=" ".join)
+    def test_bad_training_value_is_named(self, capsys, label_file, tmp_path, argv):
+        code, _, err = self.fit(capsys, label_file, tmp_path / "m.slvq", *argv)
+        assert code == EXIT_DATA
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert argv[0].removeprefix("--") in err
+        assert not (tmp_path / "m.slvq").exists()
+
     # lr 1e160 overflows the first update; weight decay 1e308 leaves finite
     # weights near 1e304 that overflow the second step's distance products
     @pytest.mark.parametrize("argv", [["--lr", "1e160"], ["--weight-decay", "1e308"]],

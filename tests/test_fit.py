@@ -12,7 +12,7 @@ from slvq.vqae import (
     fit,
 )
 
-from conftest import random_labels
+from conftest import random_labels, traced_peak
 
 
 def quick_config(**overrides):
@@ -133,7 +133,19 @@ class TestFit:
         labels = random_labels(rng, 64, 8)
         _, trace = fit(labels, 4, 2, 4, quick_config(max_steps=50))
         assert len(trace) == 50
-        assert all(u.sum() == 16 * 2 for u in trace.code_usage)  # batch * segments
+        # one histogram per epoch: 12 epochs of 4 steps over 64 rows, then 2 steps
+        assert len(trace.code_usage) == 13
+        epoch_steps = [4] * 12 + [2]
+        assert [u.sum() for u in trace.code_usage] == [s * 16 * 2 for s in epoch_steps]
+        assert sum(u.sum() for u in trace.code_usage) == 50 * 16 * 2   # steps * batch * segments
+
+    def test_trace_memory_does_not_grow_with_steps(self, rng):
+        # one epoch is 4,000 steps, and a k=4096 histogram a step would hold
+        # 32 KiB more for each: about 47 MiB more at 2,000 steps than at 500
+        labels = random_labels(rng, 64_000, 8)
+        peaks = [traced_peak(fit, labels, 8, 2, 4096, quick_config(max_steps=steps))[1]
+                 for steps in (500, 2000)]
+        assert peaks[1] - peaks[0] < 2 ** 20
 
     def test_trainable_subset_freezes_others(self, rng):
         labels = random_labels(rng, 64, 8)
@@ -229,6 +241,19 @@ class TestFitOwnsOneModel:
     def test_config_rejects_empty_batch_and_negative_steps(self, overrides):
         with pytest.raises(ModelValidationError, match="batch_size >= 1 and max_steps >= 0"):
             quick_config(**overrides)
+
+    # nan or inf alpha, beta or lr used to fail at step 0 as a numeric failure,
+    # and a nan or negative init_scale inside numpy's uniform draw
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", np.nan), ("alpha", np.inf), ("beta", np.nan), ("lr", np.inf),
+        ("epsilon", np.inf), ("init_scale", np.nan), ("init_scale", np.inf), ("init_scale", -1.0)])
+    def test_config_rejects_float_out_of_range(self, name, value):
+        with pytest.raises(ModelValidationError, match=f"{name} must be finite"):
+            quick_config(**{name: value})
+
+    def test_config_allows_zero_where_it_may_be_zero(self):
+        config = quick_config(alpha=0.0, beta=0.0, weight_decay=0.0, init_scale=0.0)
+        assert (config.alpha, config.beta, config.weight_decay, config.init_scale) == (0, 0, 0, 0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("name", ["encoder", "decoder", "codebook"])

@@ -196,6 +196,11 @@ class TestRenormalize:
         with pytest.raises(ModelValidationError):
             renormalize(np.ones(3), epsilon=0.0)
 
+    def test_rejects_infinite_epsilon(self):
+        # an infinite floor turns every row into inf / inf
+        with pytest.raises(ModelValidationError, match="epsilon"):
+            renormalize(np.ones(3), epsilon=np.inf)
+
 
 # ---------------------------------------------------------------------------
 # Loss / gradient oracle. Central finite differences must respect the
