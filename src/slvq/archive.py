@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import _CODEC_BLOCK_ELEMENTS, _row_blocks
-from .vqae import GRADIENT_MODES, ModelValidationError, VqaeModel, _finite_positive, decompress
+from .labels import _CODEC_BLOCK_ELEMENTS, _finite_positive, _row_blocks
+from .vqae import GRADIENT_MODES, RENORM_FLOOR, ModelValidationError, VqaeModel, decompress
 
 SLAR_MAGIC = b"SLAR"
 SLAR_VERSION = 1
@@ -96,7 +96,7 @@ def _f32_weights(arrays: dict) -> dict:
     return arrays
 
 
-def vqae_archive(model: VqaeModel, indices: np.ndarray, epsilon: float = 1e-8) -> CompressedArchive:
+def vqae_archive(model: VqaeModel, indices: np.ndarray, epsilon: float = RENORM_FLOOR) -> CompressedArchive:
     """Bundle what the decoder side needs: indices, codebook, and decoder."""
     if not _finite_positive(epsilon):
         raise ModelValidationError(f"cannot write epsilon {epsilon!r}")
@@ -224,7 +224,7 @@ def _decode_body(view: memoryview) -> CompressedArchive:
 
 
 def write_model(model: VqaeModel, path, gradient_mode: str = "straight_through",
-                epsilon: float = 1e-8) -> None:
+                epsilon: float = RENORM_FLOOR) -> None:
     if model.encoder is None:
         raise ModelValidationError("a decode-side model has no encoder to write")
     if gradient_mode not in GRADIENT_MODES or not _finite_positive(epsilon):

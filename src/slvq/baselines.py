@@ -10,6 +10,7 @@ import numpy as np
 
 from .labels import SoftLabelMatrix
 from .vqae import (
+    RENORM_FLOOR,
     ModelValidationError,
     TrainConfig,
     VqaeModel,
@@ -41,7 +42,7 @@ def topk_compress(labels: SoftLabelMatrix, k_top: int) -> TopkArchive:
     return TopkArchive(values, classes.astype(np.int64), labels.c)
 
 
-def topk_decompress(archive: TopkArchive, epsilon: float = 1e-8) -> SoftLabelMatrix:
+def topk_decompress(archive: TopkArchive, epsilon: float = RENORM_FLOOR) -> SoftLabelMatrix:
     full = topk_scatter(archive.values, archive.class_indices, archive.num_classes)
     return SoftLabelMatrix(renormalize(full, epsilon))
 
@@ -121,7 +122,7 @@ def scalar_quant_apply(codec: ScalarQuantCodec, labels: SoftLabelMatrix) -> np.n
 
 
 def scalar_quant_invert(codec: ScalarQuantCodec, indices: np.ndarray,
-                        epsilon: float = 1e-8) -> SoftLabelMatrix:
+                        epsilon: float = RENORM_FLOOR) -> SoftLabelMatrix:
     """Look levels back up and renormalize each row onto the simplex."""
     return SoftLabelMatrix(renormalize(codec.levels[indices], epsilon))
 
@@ -162,7 +163,7 @@ def pca_compress(labels: SoftLabelMatrix, codec: PcaCodec) -> np.ndarray:
 
 
 def pca_decompress(projections: np.ndarray, codec: PcaCodec,
-                   epsilon: float = 1e-8) -> SoftLabelMatrix:
+                   epsilon: float = RENORM_FLOOR) -> SoftLabelMatrix:
     recon = codec.mean + np.asarray(projections) @ codec.components
     return SoftLabelMatrix(renormalize(recon, epsilon))
 

@@ -16,6 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from .labels import _finite_positive
+
 GIB = 1024 ** 3
 HALF_LABEL_BYTES = 2   # one half-precision label scalar, as SLAB stores it
 F32_PARAM_BYTES = 4    # one f32 codec parameter, as SLAR stores it
@@ -43,13 +45,10 @@ class BudgetSpec:
     k: int | None = None
 
     def __post_init__(self):
-        for name in ("ipc", "num_classes", "epochs", "aug_per_epoch"):
+        required = ("ipc", "num_classes", "epochs", "aug_per_epoch")
+        for name in (*required, "d_h", "d_c", "k"):   # the VQ dims may be None
             v = getattr(self, name)
-            if not (isinstance(v, int) and v > 0):
-                raise BudgetError(f"{name} must be a positive integer, got {v!r}")
-        for name in ("d_h", "d_c", "k"):
-            v = getattr(self, name)
-            if v is not None and not (isinstance(v, int) and v > 0):
+            if not (isinstance(v, int) and v > 0) and (v is not None or name in required):
                 raise BudgetError(f"{name} must be a positive integer, got {v!r}")
 
     @property
@@ -207,7 +206,7 @@ def llm_raw_bytes(tokens: int, vocab: int, bytes_per_scalar: int = 2) -> int:
 def llm_compression_ratio(tokens: int, vocab: int, archive_gb: float) -> float:
     """Ratio of raw token-label storage to an archive of the given size in
     (1024-based) GB."""
-    if archive_gb <= 0:
+    if not _finite_positive(archive_gb):
         raise BudgetError("archive size must be positive")
     return (llm_raw_bytes(tokens, vocab) / GIB) / archive_gb
 
@@ -220,7 +219,7 @@ def solve_hyperparams(target_ratio: float, spec: BudgetSpec,
     k ranges over powers of two up to ``max_k``; d_h over [C/2, 2C]; d_c
     over divisors of d_h.
     """
-    if target_ratio <= 1:
+    if not _finite_positive(target_ratio - 1):
         raise BudgetError(f"target ratio must exceed 1, got {target_ratio}")
     c = spec.num_classes
     best = None

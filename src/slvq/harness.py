@@ -104,14 +104,13 @@ def _kl_grad_step(model: MlpModel, x, targets, tau, opt):
 
 
 def train_mlp_kl(model: MlpModel, x: np.ndarray, targets_per_view, tau: float,
-                 epochs: int, batch_size: int, seed: int,
-                 lr: float = 1e-3, weight_decay: float = 1e-2):
+                 epochs: int, batch_size: int, seed: int, **adamw):
     """Train on KL to soft targets; epoch e consumes view e mod a, cycling.
 
-    targets_per_view: array of shape (a, n, c). Returns per-epoch mean loss.
+    targets_per_view: (a, n, c) array; ``adamw``: AdamW's keywords. Returns per-epoch mean loss.
     """
     rng = np.random.default_rng(seed)
-    opt = AdamW(model.params(), lr=lr, weight_decay=weight_decay)
+    opt = AdamW(model.params(), **adamw)
     views = targets_per_view.shape[0]
     n = x.shape[0]
     history = []
@@ -127,13 +126,12 @@ def train_mlp_kl(model: MlpModel, x: np.ndarray, targets_per_view, tau: float,
 
 
 def train_teacher(task: SyntheticTask, hidden: int = 128, epochs: int = 100,
-                  batch_size: int = 64, seed: int = 0,
-                  lr: float = 1e-3, weight_decay: float = 1e-2) -> MlpModel:
+                  batch_size: int = 64, seed: int = 0, **adamw) -> MlpModel:
     """Fit the teacher on one-hot ground truth (KL to one-hot = cross-entropy)."""
     teacher = init_mlp(task.dim, hidden, task.num_classes, seed)
     onehot = np.eye(task.num_classes)[task.y_train]
     train_mlp_kl(teacher, task.x_train, onehot[None], tau=1.0, epochs=epochs,
-                 batch_size=batch_size, seed=seed + 1, lr=lr, weight_decay=weight_decay)
+                 batch_size=batch_size, seed=seed + 1, **adamw)
     return teacher
 
 

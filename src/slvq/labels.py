@@ -24,6 +24,11 @@ SLAB_VERSION = 1
 _CODEC_BLOCK_ELEMENTS = 2**20   # row-block budget of the codec passes (8 MB of float64)
 
 
+def _finite_positive(x, zero_ok: bool = False) -> bool:
+    """A finite number above 0, or also 0 if ``zero_ok``: slvq's one range check."""
+    return 0 < x < np.inf or zero_ok and x == 0
+
+
 def _row_blocks(n: int, row_elements: int, budget: int) -> list[slice]:
     """Slices that split n rows of ``row_elements`` evenly into blocks of at most
     about ``budget`` elements (a row a block if one row is larger; one empty slice
@@ -100,7 +105,7 @@ class LogitMatrix:
             raise LabelValidationError(f"logit data must be 2-D, got shape {data.shape}")
         if not np.isfinite(data).all():
             raise LabelValidationError("logits contain non-finite entries")
-        if not (self.temperature > 0):
+        if not _finite_positive(self.temperature):
             raise LabelValidationError(f"temperature must be positive, got {self.temperature}")
 
     @property
@@ -118,7 +123,7 @@ def stable_softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     Works in its float64 output buffer: it allocates nothing else of the
     input's size.
     """
-    if not (temperature > 0):
+    if not _finite_positive(temperature):
         raise LabelValidationError(f"temperature must be positive, got {temperature}")
     out = np.divide(z, float(temperature), dtype=np.float64)
     out -= out.max(axis=-1, keepdims=True)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .labels import _finite_positive
+
 BLOCK = 32_768   # elements per pass: 256 KB per float64 array, so a pass stays in L2
 
 
@@ -19,8 +21,8 @@ class AdamW:
 
     def __init__(self, params: dict, lr: float = 1e-3, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 1e-2):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+        if not (_finite_positive(lr) and _finite_positive(weight_decay, zero_ok=True)):
+            raise ValueError(f"need a finite lr > 0 and weight_decay >= 0, got {lr} and {weight_decay}")
         for name, p in params.items():
             # reshape(-1) of a non-contiguous array is a copy, whose updates would
             # be lost; the scratch buffers and the update arithmetic are float64

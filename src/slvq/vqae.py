@@ -9,25 +9,20 @@ simplex before use.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import _CODEC_BLOCK_ELEMENTS, SoftLabelMatrix, _row_blocks
+from .labels import _CODEC_BLOCK_ELEMENTS, SoftLabelMatrix, _finite_positive, _row_blocks
 from .optim import AdamW
 
 STRAIGHT_THROUGH = "straight_through"
 LITERAL_STOP_GRADIENT = "literal_stop_gradient"
 GRADIENT_MODES = (STRAIGHT_THROUGH, LITERAL_STOP_GRADIENT)
+RENORM_FLOOR = 1e-8   # the default epsilon every decoded label entry is clamped to
 # TrainConfig's float fields, each must be finite: name -> whether it may be 0
 _FLOAT_FIELDS = {"alpha": True, "beta": True, "weight_decay": True, "init_scale": True,
                  "lr": False, "epsilon": False}
-
-
-def _finite_positive(x) -> bool:
-    """A finite number above 0 (NaN fails both tests): the one check on epsilon."""
-    return 0 < x <= sys.float_info.max
 
 
 class ModelValidationError(ValueError):
@@ -102,14 +97,13 @@ class TrainConfig:
     max_steps: int = 2000
     seed: int = 0
     gradient_mode: str = STRAIGHT_THROUGH
-    epsilon: float = 1e-8         # renormalization floor
+    epsilon: float = RENORM_FLOOR
     dead_code_reinit: bool = False
     init_scale: float = 1.0       # multiplier on the fan-in init bounds
 
     def __post_init__(self):
         for name, zero_ok in _FLOAT_FIELDS.items():
-            value = getattr(self, name)
-            if not (_finite_positive(value) or zero_ok and value == 0):
+            if not _finite_positive(value := getattr(self, name), zero_ok):
                 raise ModelValidationError(f"{name} must be finite and "
                                            f"{'non-negative' if zero_ok else 'positive'}, got {value}")
         if self.batch_size < 1 or self.max_steps < 0:
@@ -219,7 +213,7 @@ def decode(h_hat, model: VqaeModel) -> np.ndarray:
     return arr @ model.decoder
 
 
-def renormalize(y_hat, epsilon: float = 1e-8) -> np.ndarray:
+def renormalize(y_hat, epsilon: float = RENORM_FLOOR) -> np.ndarray:
     """Clamp entries to at least epsilon and rescale rows to sum to one.
 
     Works in its float64 output buffer; the input is never changed.
@@ -429,7 +423,7 @@ def _decode_codes(indices, model: VqaeModel) -> np.ndarray:
     return out
 
 
-def decompress(indices: np.ndarray, model: VqaeModel, epsilon: float = 1e-8) -> SoftLabelMatrix:
+def decompress(indices: np.ndarray, model: VqaeModel, epsilon: float = RENORM_FLOOR) -> SoftLabelMatrix:
     """Reconstruct soft labels from code indices: lookup, decode, renormalize in place."""
     decoded = _decode_codes(indices, model)
     return SoftLabelMatrix(_renormalize(decoded, epsilon, decoded))
@@ -446,7 +440,7 @@ class TopkVqModel:
     k_top: int
     num_classes: int
     vqae: VqaeModel
-    epsilon: float = 1e-8
+    epsilon: float = RENORM_FLOOR
 
 
 def topk_select(data: np.ndarray, k_top: int):
