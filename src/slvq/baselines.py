@@ -70,15 +70,19 @@ class ScalarQuantCodec:
 
 
 def _kmeanspp_1d(values, counts, k, rng):
-    centers = [values[rng.choice(values.size, p=counts / counts.sum())]]
-    for _ in range(1, k):
-        d2 = np.min((values[:, None] - np.array(centers)[None, :]) ** 2, axis=1)
+    """k-means++ seeds; d2 keeps each value's squared distance to its nearest
+    center so far, updated in place with each new center."""
+    centers = np.empty(k)
+    centers[0] = values[rng.choice(values.size, p=counts / counts.sum())]
+    d2 = np.full(values.size, np.inf)
+    for i in range(1, k):
+        np.minimum(d2, (values - centers[i - 1]) ** 2, out=d2)
         w = d2 * counts
         if w.sum() == 0:
-            centers.append(values[rng.choice(values.size)])
+            centers[i] = values[rng.choice(values.size)]
         else:
-            centers.append(values[rng.choice(values.size, p=w / w.sum())])
-    return np.array(centers)
+            centers[i] = values[rng.choice(values.size, p=w / w.sum())]
+    return centers
 
 
 def scalar_quant_fit(labels: SoftLabelMatrix, bits: int, seed: int = 0,

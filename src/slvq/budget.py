@@ -211,13 +211,21 @@ def llm_compression_ratio(tokens: int, vocab: int, archive_gb: float) -> float:
     return (llm_raw_bytes(tokens, vocab) / GIB) / archive_gb
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of n in ascending order, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def solve_hyperparams(target_ratio: float, spec: BudgetSpec,
                       max_k: int = 4096):
     """Search (d_h, d_c, k) hitting at least the target ratio with the least
     slack; ties prefer larger d_h (more codec capacity for the same budget).
 
     k ranges over powers of two up to ``max_k``; d_h over [C/2, 2C]; d_c
-    over divisors of d_h.
+    over divisors of d_h. For fixed (d_h, d_c) the ratio falls as k grows,
+    since index bits and codebook bytes both rise, so each k scan stops at the
+    first k below the target.
     """
     if not _finite_positive(target_ratio - 1):
         raise BudgetError(f"target ratio must exceed 1, got {target_ratio}")
@@ -225,14 +233,13 @@ def solve_hyperparams(target_ratio: float, spec: BudgetSpec,
     best = None
     ks = [2 ** b for b in range(1, max_k.bit_length())]
     for d_h in range(max(1, c // 2), 2 * c + 1):
-        divisors = [d for d in range(1, d_h + 1) if d_h % d == 0]
-        for d_c in divisors:
+        for d_c in _divisors(d_h):
             for k in ks:
                 trial = BudgetSpec(spec.ipc, c, spec.epochs, spec.aug_per_epoch,
                                    d_h=d_h, d_c=d_c, k=k)
                 ratio = compression_ratio(trial)
                 if ratio < target_ratio:
-                    continue
+                    break
                 slack = ratio - target_ratio
                 key = (slack, -d_h)
                 if best is None or key < best[0]:

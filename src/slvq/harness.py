@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import LabelValidationError, SoftLabelMatrix, _row_blocks, stable_softmax
+from .labels import LabelValidationError, SoftLabelMatrix, _finite_positive, _row_blocks, stable_softmax
 from .optim import AdamW
+from .vqae import ModelValidationError, TrainingError
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ def make_task(seed: int, d: int, c: int, n_per_class: int,
     if c < 2 or n_per_class < 1:
         raise LabelValidationError(
             f"need at least 2 classes and 1 sample each, got {c} and {n_per_class}")
+    if not (_finite_positive(d) and _finite_positive(spread, zero_ok=True)):
+        raise LabelValidationError(f"need d >= 1 and a finite spread >= 0, got {d} and {spread}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((c, d))
 
@@ -108,20 +111,27 @@ def train_mlp_kl(model: MlpModel, x: np.ndarray, targets_per_view, tau: float,
     """Train on KL to soft targets; epoch e consumes view e mod a, cycling.
 
     targets_per_view: (a, n, c) array; ``adamw``: AdamW's keywords. Returns per-epoch mean loss.
+    Raises TrainingError, as ``vqae.fit`` does, once a step overflows or goes NaN.
     """
+    if not _finite_positive(epochs):
+        raise ModelValidationError(f"need epochs >= 1, got {epochs}")
     rng = np.random.default_rng(seed)
     opt = AdamW(model.params(), **adamw)
     views = targets_per_view.shape[0]
     n = x.shape[0]
     history = []
-    for epoch in range(epochs):
-        targets = targets_per_view[epoch % views]
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            losses.append(_kl_grad_step(model, x[idx], targets[idx], tau, opt))
-        history.append(float(np.mean(losses)))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(epochs):
+                targets = targets_per_view[epoch % views]
+                order = rng.permutation(n)
+                losses = []
+                for start in range(0, n, batch_size):
+                    idx = order[start:start + batch_size]
+                    losses.append(_kl_grad_step(model, x[idx], targets[idx], tau, opt))
+                history.append(float(np.mean(losses)))
+    except FloatingPointError as err:
+        raise TrainingError(f"epoch {len(history)}: {err}") from None
     return history
 
 
@@ -142,12 +152,15 @@ def cache_teacher_labels(teacher: MlpModel, task: SyntheticTask, views: int = 1,
 
     Rows are view-major: rows [v*n, (v+1)*n) hold view v for all samples.
     """
+    if not (_finite_positive(views) and _finite_positive(jitter, zero_ok=True)):
+        raise LabelValidationError(f"need views >= 1 and a finite jitter >= 0, got {views} and {jitter}")
     rng = np.random.default_rng(seed)
     n = task.x_train.shape[0]
     out = np.empty((views * n, teacher.b2.size))
-    for v in range(views):
-        x = task.x_train + jitter * rng.standard_normal(task.x_train.shape)
-        out[v * n:(v + 1) * n] = stable_softmax(teacher.logits(x), tau)
+    with np.errstate(over="raise", invalid="raise"):   # a tiny tau overflows the softmax
+        for v in range(views):
+            x = task.x_train + jitter * rng.standard_normal(task.x_train.shape)
+            out[v * n:(v + 1) * n] = stable_softmax(teacher.logits(x), tau)
     return SoftLabelMatrix(out)
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from slvq import baselines
 from slvq.baselines import (
     PcaCodec,
     ScalarQuantCodec,
+    _kmeanspp_1d,
     pca_compress,
     pca_decompress,
     pca_fit,
@@ -18,7 +20,7 @@ from slvq.baselines import (
 from slvq.labels import SoftLabelMatrix
 from slvq.vqae import ModelValidationError, TrainConfig
 
-from conftest import random_labels
+from conftest import random_labels, traced_peak
 
 
 class TestTopk:
@@ -158,3 +160,51 @@ class TestVqNoAe:
     def test_rejects_indivisible_classes(self, rng):
         with pytest.raises(ModelValidationError):
             vq_no_ae_fit(random_labels(rng, 20, 7), d_c=2, k=4)
+
+
+def reference_kmeanspp_1d(values, counts, k, rng):
+    """k-means++ seeding as it was: the full N x len(centers) distance matrix each round."""
+    centers = [values[rng.choice(values.size, p=counts / counts.sum())]]
+    for _ in range(1, k):
+        d2 = np.min((values[:, None] - np.array(centers)[None, :]) ** 2, axis=1)
+        w = d2 * counts
+        if w.sum() == 0:
+            centers.append(values[rng.choice(values.size)])
+        else:
+            centers.append(values[rng.choice(values.size, p=w / w.sum())])
+    return np.array(centers)
+
+
+class TestKmeansppSeeding:
+    @pytest.fixture(scope="class")
+    def unique_values(self):
+        labels = random_labels(np.random.default_rng(7), 400, 50)
+        values, counts = np.unique(labels.data.reshape(-1), return_counts=True)
+        return values, counts.astype(np.float64)
+
+    @pytest.mark.parametrize("k", [2, 4, 16, 64])
+    def test_same_draws_as_reference(self, unique_values, k):
+        values, counts = unique_values
+        got = _kmeanspp_1d(values, counts, k, np.random.default_rng(k))
+        want = reference_kmeanspp_1d(values, counts, k, np.random.default_rng(k))
+        assert np.array_equal(got, want)
+
+    def test_repeated_values_fall_back_to_uniform_draws(self):
+        # two distinct values and k = 4: once both are centers every distance is 0
+        values, counts = np.array([0.25, 0.75]), np.array([3.0, 1.0])
+        got = _kmeanspp_1d(values, counts, 4, np.random.default_rng(1))
+        want = reference_kmeanspp_1d(values, counts, 4, np.random.default_rng(1))
+        assert np.array_equal(got, want)
+
+    def test_memory_is_linear_in_the_values(self, unique_values):
+        # a few N-length float64 vectors, never N x k (k = 64 would be 64 of them)
+        values, counts = unique_values
+        _, peak = traced_peak(_kmeanspp_1d, values, counts, 64, np.random.default_rng(0))
+        assert peak < 8 * values.nbytes
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 6])
+    def test_scalar_quant_levels_match_reference_seeding(self, monkeypatch, bits):
+        labels = random_labels(np.random.default_rng(3), 200, 20)
+        got = scalar_quant_fit(labels, bits, seed=5).levels
+        monkeypatch.setattr(baselines, "_kmeanspp_1d", reference_kmeanspp_1d)
+        assert np.array_equal(got, scalar_quant_fit(labels, bits, seed=5).levels)

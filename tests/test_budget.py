@@ -7,6 +7,7 @@ from slvq.budget import (
     GIB,
     BudgetError,
     BudgetSpec,
+    _divisors,
     asymptotic_ratio_class,
     bits_per_index,
     compression_ratio,
@@ -190,3 +191,54 @@ class TestReportDict:
         d = vq_bytes(BudgetSpec(10, 1000, 300, d_h=795, d_c=5, k=1024)).as_dict()
         assert d["raw_gb"] == round(raw_label_bytes(spec) / GIB, 3)
         assert isinstance(d["breakdown"], dict)
+
+
+def reference_solve_hyperparams(target_ratio, spec, max_k=4096):
+    """The exhaustive search as it was: every divisor by trial up to d_h, every k."""
+    c = spec.num_classes
+    best = None
+    ks = [2 ** b for b in range(1, max_k.bit_length())]
+    for d_h in range(max(1, c // 2), 2 * c + 1):
+        for d_c in [d for d in range(1, d_h + 1) if d_h % d == 0]:
+            for k in ks:
+                ratio = compression_ratio(BudgetSpec(spec.ipc, c, spec.epochs, spec.aug_per_epoch,
+                                                     d_h=d_h, d_c=d_c, k=k))
+                if ratio < target_ratio:
+                    continue
+                key = (ratio - target_ratio, -d_h)
+                if best is None or key < best[0]:
+                    best = (key, (d_h, d_c, k), ratio)
+    if best is None:
+        raise BudgetError(f"no hyperparameters reach a {target_ratio}x ratio")
+    return best[1], best[2]
+
+
+class TestSolverMatchesExhaustiveSearch:
+    def test_divisors_ascending(self):
+        for n in range(1, 400):
+            assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+    @pytest.mark.parametrize("spec,max_k", [(BudgetSpec(10, 12, 30), 4096),
+                                            (BudgetSpec(3, 17, 7, aug_per_epoch=2), 256),
+                                            (BudgetSpec(1, 24, 2), 64)],
+                             ids=["c12", "c17-aug2", "c24"])
+    def test_same_answers(self, spec, max_k):
+        # the tied targets are ratios that two or more settings reach exactly,
+        # so several settings meet them with zero slack and the tie rule decides
+        c, reached = spec.num_classes, {}
+        for d_h in range(max(1, c // 2), 2 * c + 1):
+            for d_c in _divisors(d_h):
+                for k in [2 ** b for b in range(1, max_k.bit_length())]:
+                    ratio = compression_ratio(BudgetSpec(spec.ipc, c, spec.epochs, spec.aug_per_epoch,
+                                                         d_h=d_h, d_c=d_c, k=k))
+                    reached[ratio] = reached.get(ratio, 0) + 1
+        tied = sorted(r for r, count in reached.items() if count > 1 and r > 1)
+        assert tied
+        for target in [1.5, 2.0, 3.7, 10.0, 40.0, 1e3, *tied[::max(1, len(tied) // 8)]]:
+            try:
+                want = reference_solve_hyperparams(target, spec, max_k)
+            except BudgetError:
+                with pytest.raises(BudgetError):
+                    solve_hyperparams(target, spec, max_k)
+                continue
+            assert solve_hyperparams(target, spec, max_k) == want
