@@ -3,14 +3,13 @@ defaults and the range check on input numbers, and the exit-code contract of
 the commands that read them."""
 
 import inspect
-import warnings
 
 import numpy as np
 import pytest
 
 from slvq import archive, baselines, vqae
 from slvq.budget import BudgetError, BudgetSpec, llm_compression_ratio, solve_hyperparams
-from slvq.cli import _TRAIN_FLAGS, EXIT_DATA, EXIT_NUMERIC, _build_parser, main
+from slvq.cli import _TRAIN_FLAGS, EXIT_DATA, EXIT_NUMERIC, _build_parser
 from slvq.harness import cache_teacher_labels, init_mlp, make_task, train_mlp_kl
 from slvq.labels import (
     LabelValidationError,
@@ -22,16 +21,9 @@ from slvq.labels import (
 from slvq.optim import AdamW
 
 from conftest import random_labels
+from test_cli import run   # pytest turns any RuntimeWarning into an error
 
 BAD_FLOATS = [float("nan"), float("inf"), -float("inf"), -1.0]
-
-
-def run(capsys, *argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
 
 
 class TestFinitePositive:
@@ -144,11 +136,9 @@ class TestHarnessRanges:
     def test_train_mlp_kl_divergence_is_a_training_error(self):
         # at tau 1e-300 the KL gradients reach 1e300 and AdamW's second moment overflows
         task = make_task(0, d=3, c=3, n_per_class=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(vqae.TrainingError, match="epoch 0: overflow"):
-                train_mlp_kl(init_mlp(3, 4, 3, seed=0), task.x_train,
-                             np.full((1, 6, 3), 1 / 3), tau=1e-300, epochs=2, batch_size=4, seed=0)
+        with pytest.raises(vqae.TrainingError, match="epoch 0: overflow"):
+            train_mlp_kl(init_mlp(3, 4, 3, seed=0), task.x_train, np.full((1, 6, 3), 1 / 3),
+                         tau=1e-300, epochs=2, batch_size=4, seed=0)
 
 
 class TestCommandRanges:
