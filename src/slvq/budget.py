@@ -46,9 +46,11 @@ class BudgetSpec:
 
     def __post_init__(self):
         required = ("ipc", "num_classes", "epochs", "aug_per_epoch")
-        for name in (*required, "d_h", "d_c", "k"):   # the VQ dims may be None
+        for name in (*required, "d_h", "d_c", "k"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v > 0) and (v is not None or name in required):
+            if v is None and name not in required:   # the VQ dims are optional
+                continue
+            if not (isinstance(v, int) and v > 0):
                 raise BudgetError(f"{name} must be a positive integer, got {v!r}")
 
     @property
@@ -228,7 +230,7 @@ def solve_hyperparams(target_ratio: float, spec: BudgetSpec,
     first k below the target.
     """
     if not _finite_positive(target_ratio - 1):
-        raise BudgetError(f"target ratio must exceed 1, got {target_ratio}")
+        raise BudgetError(f"target ratio must be a finite number above 1, got {target_ratio}")
     c = spec.num_classes
     best = None
     ks = [2 ** b for b in range(1, max_k.bit_length())]

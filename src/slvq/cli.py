@@ -34,10 +34,6 @@ TABLE_SETTINGS = {
     200: (1000, 100, 64),
 }
 
-# fit's and eval's training flags: argparse dest -> the TrainConfig field it sets
-_TRAIN_FLAGS = {"steps": "max_steps", "batch_size": "batch_size", "alpha": "alpha", "beta": "beta",
-                "lr": "lr", "weight_decay": "weight_decay", "epsilon": "epsilon", "gradient_mode": "gradient_mode"}
-
 
 class _UsageExit(Exception):
     pass
@@ -68,12 +64,6 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=_default_seed())
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    def training(p, *dests):   # each flag takes its type and default from its field
-        for dest in dests:
-            default = getattr(vq.TrainConfig, _TRAIN_FLAGS[dest])
-            p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
-                           choices=vq.GRADIENT_MODES if dest == "gradient_mode" else None)
-
     p = sub.add_parser("fit", help="train a codec on a label file")
     common(p)
     p.add_argument("--labels", required=True, help="SLAB or CSV label file")
@@ -81,7 +71,14 @@ def _build_parser():
     p.add_argument("--d-h", type=int, required=True)
     p.add_argument("--d-c", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    training(p, *_TRAIN_FLAGS)
+    p.add_argument("--steps", type=int, default=vq.TrainConfig.max_steps)
+    p.add_argument("--batch-size", type=int, default=vq.TrainConfig.batch_size)
+    p.add_argument("--alpha", type=float, default=vq.TrainConfig.alpha)
+    p.add_argument("--beta", type=float, default=vq.TrainConfig.beta)
+    p.add_argument("--lr", type=float, default=vq.TrainConfig.lr)
+    p.add_argument("--weight-decay", type=float, default=vq.TrainConfig.weight_decay)
+    p.add_argument("--epsilon", type=float, default=vq.TrainConfig.epsilon)
+    p.add_argument("--gradient-mode", choices=vq.GRADIENT_MODES, default=vq.TrainConfig.gradient_mode)
 
     p = sub.add_parser("compress", help="compress labels with a fitted model")
     common(p)
@@ -124,7 +121,7 @@ def _build_parser():
     p.add_argument("--d-h", type=int, default=50)
     p.add_argument("--d-c", type=int, default=5)
     p.add_argument("--k", type=int, default=16)
-    training(p, "steps")
+    p.add_argument("--steps", type=int, default=vq.TrainConfig.max_steps)
     p.add_argument("--student-epochs", type=int, default=150)
     p.add_argument("--account-epochs", type=int, default=300,
                    help="epoch count used for the storage-ratio accounting")
@@ -152,11 +149,13 @@ def _report_text(report: bd.StorageReport) -> str:
 
 def _cmd_fit(args):
     labels = _load_labels(args.labels)
-    fields = {field: getattr(args, dest) for dest, field in _TRAIN_FLAGS.items()}
-    fields["batch_size"] = min(fields["batch_size"], labels.n)
-    config = vq.TrainConfig(seed=args.seed, **fields)
+    config = vq.TrainConfig(alpha=args.alpha, beta=args.beta, lr=args.lr,
+                            weight_decay=args.weight_decay,
+                            batch_size=min(args.batch_size, labels.n),
+                            max_steps=args.steps, seed=args.seed,
+                            gradient_mode=args.gradient_mode, epsilon=args.epsilon)
     model, trace = vq.fit(labels, args.d_h, args.d_c, args.k, config)
-    ar.write_model(model, args.out, config.gradient_mode, config.epsilon)
+    ar.write_model(model, args.out, args.gradient_mode, args.epsilon)
     summary = {"steps": len(trace), "final_loss": trace.loss_total[-1] if len(trace) else None,
                "final_rec_loss": trace.loss_rec[-1] if len(trace) else None,
                "model": args.out}

@@ -30,6 +30,11 @@ class SyntheticTask:
         return self.x_train.shape[1]
 
 
+def _is_count(v) -> bool:
+    """An integer of at least 1."""
+    return isinstance(v, (int, np.integer)) and v >= 1
+
+
 def make_task(seed: int, d: int, c: int, n_per_class: int,
               n_test_per_class: int = 50, spread: float = 1.0) -> SyntheticTask:
     """Class-balanced Gaussian clusters; spread controls class overlap
@@ -37,8 +42,9 @@ def make_task(seed: int, d: int, c: int, n_per_class: int,
     if c < 2 or n_per_class < 1:
         raise LabelValidationError(
             f"need at least 2 classes and 1 sample each, got {c} and {n_per_class}")
-    if not (_finite_positive(d) and _finite_positive(spread, zero_ok=True)):
-        raise LabelValidationError(f"need d >= 1 and a finite spread >= 0, got {d} and {spread}")
+    if not (_is_count(d) and _finite_positive(spread, zero_ok=True)):
+        raise LabelValidationError(
+            f"need an integer d >= 1 and a finite spread >= 0, got {d} and {spread}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((c, d))
 
@@ -107,16 +113,16 @@ def _kl_grad_step(model: MlpModel, x, targets, tau, opt):
 
 
 def train_mlp_kl(model: MlpModel, x: np.ndarray, targets_per_view, tau: float,
-                 epochs: int, batch_size: int, seed: int, **adamw):
+                 epochs: int, batch_size: int, seed: int):
     """Train on KL to soft targets; epoch e consumes view e mod a, cycling.
 
-    targets_per_view: (a, n, c) array; ``adamw``: AdamW's keywords. Returns per-epoch mean loss.
+    targets_per_view: array of shape (a, n, c). Returns per-epoch mean loss.
     Raises TrainingError, as ``vqae.fit`` does, once a step overflows or goes NaN.
     """
-    if not _finite_positive(epochs):
-        raise ModelValidationError(f"need epochs >= 1, got {epochs}")
+    if not _is_count(epochs):
+        raise ModelValidationError(f"need an integer epochs >= 1, got {epochs}")
     rng = np.random.default_rng(seed)
-    opt = AdamW(model.params(), **adamw)
+    opt = AdamW(model.params())
     views = targets_per_view.shape[0]
     n = x.shape[0]
     history = []
@@ -136,12 +142,12 @@ def train_mlp_kl(model: MlpModel, x: np.ndarray, targets_per_view, tau: float,
 
 
 def train_teacher(task: SyntheticTask, hidden: int = 128, epochs: int = 100,
-                  batch_size: int = 64, seed: int = 0, **adamw) -> MlpModel:
+                  batch_size: int = 64, seed: int = 0) -> MlpModel:
     """Fit the teacher on one-hot ground truth (KL to one-hot = cross-entropy)."""
     teacher = init_mlp(task.dim, hidden, task.num_classes, seed)
     onehot = np.eye(task.num_classes)[task.y_train]
     train_mlp_kl(teacher, task.x_train, onehot[None], tau=1.0, epochs=epochs,
-                 batch_size=batch_size, seed=seed + 1, **adamw)
+                 batch_size=batch_size, seed=seed + 1)
     return teacher
 
 
@@ -152,8 +158,9 @@ def cache_teacher_labels(teacher: MlpModel, task: SyntheticTask, views: int = 1,
 
     Rows are view-major: rows [v*n, (v+1)*n) hold view v for all samples.
     """
-    if not (_finite_positive(views) and _finite_positive(jitter, zero_ok=True)):
-        raise LabelValidationError(f"need views >= 1 and a finite jitter >= 0, got {views} and {jitter}")
+    if not (_is_count(views) and _finite_positive(jitter, zero_ok=True)):
+        raise LabelValidationError(
+            f"need an integer views >= 1 and a finite jitter >= 0, got {views} and {jitter}")
     rng = np.random.default_rng(seed)
     n = task.x_train.shape[0]
     out = np.empty((views * n, teacher.b2.size))

@@ -9,7 +9,7 @@ import pytest
 
 from slvq import archive, baselines, vqae
 from slvq.budget import BudgetError, BudgetSpec, llm_compression_ratio, solve_hyperparams
-from slvq.cli import _TRAIN_FLAGS, EXIT_DATA, EXIT_NUMERIC, _build_parser
+from slvq.cli import EXIT_DATA, EXIT_NUMERIC, _build_parser
 from slvq.harness import cache_teacher_labels, init_mlp, make_task, train_mlp_kl
 from slvq.labels import (
     LabelValidationError,
@@ -56,8 +56,11 @@ def fit_argv(labels="l.slab", out="m.slvq"):
 class TestTrainingDefaults:
     def test_fit_flags_default_to_train_config(self):
         args = vars(_build_parser()[0].parse_args(fit_argv()))
-        assert {dest: args[dest] for dest in _TRAIN_FLAGS} == {
-            dest: getattr(vqae.TrainConfig, field) for dest, field in _TRAIN_FLAGS.items()}
+        fields = {"steps": "max_steps", "batch_size": "batch_size", "alpha": "alpha", "beta": "beta",
+                  "lr": "lr", "weight_decay": "weight_decay", "epsilon": "epsilon",
+                  "gradient_mode": "gradient_mode"}   # argparse dest -> TrainConfig field
+        assert {dest: args[dest] for dest in fields} == {
+            dest: getattr(vqae.TrainConfig, field) for dest, field in fields.items()}
 
     def test_eval_steps_default_to_train_config(self):
         assert _build_parser()[0].parse_args(["eval"]).steps == vqae.TrainConfig.max_steps
@@ -114,24 +117,25 @@ class TestOtherRanges:
 
 
 class TestHarnessRanges:
-    @pytest.mark.parametrize("kwargs", [{"d": 0}, {"spread": -1.0}, {"spread": float("nan")},
+    @pytest.mark.parametrize("kwargs", [{"d": 0}, {"d": 0.5}, {"spread": -1.0}, {"spread": float("nan")},
                                         {"spread": float("inf")}], ids=str)
     def test_make_task(self, kwargs):
         with pytest.raises(LabelValidationError):
             make_task(**{"seed": 0, "d": 3, "c": 3, "n_per_class": 2, **kwargs})
 
-    @pytest.mark.parametrize("kwargs", [{"views": 0}, {"jitter": -0.1}, {"jitter": float("nan")},
+    @pytest.mark.parametrize("kwargs", [{"views": 0}, {"views": 1.5}, {"jitter": -0.1}, {"jitter": float("nan")},
                                         {"jitter": float("inf")}], ids=str)
     def test_cache_teacher_labels(self, kwargs):
         task = make_task(0, d=3, c=3, n_per_class=2)
         with pytest.raises(LabelValidationError):
             cache_teacher_labels(init_mlp(3, 4, 3, seed=0), task, **kwargs)
 
-    def test_train_mlp_kl_needs_an_epoch(self):
+    @pytest.mark.parametrize("epochs", [0, 1.5])
+    def test_train_mlp_kl_needs_a_whole_epoch(self, epochs):
         task = make_task(0, d=3, c=3, n_per_class=2)
         with pytest.raises(vqae.ModelValidationError, match="epochs"):
             train_mlp_kl(init_mlp(3, 4, 3, seed=0), task.x_train, np.eye(3)[task.y_train][None],
-                         tau=1.0, epochs=0, batch_size=4, seed=0)
+                         tau=1.0, epochs=epochs, batch_size=4, seed=0)
 
     def test_train_mlp_kl_divergence_is_a_training_error(self):
         # at tau 1e-300 the KL gradients reach 1e300 and AdamW's second moment overflows
