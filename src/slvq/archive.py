@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import _CODEC_BLOCK_ELEMENTS, _finite_positive, _row_blocks
+from .labels import _CODEC_BLOCK_ELEMENTS, _finite_positive, _is_count, _row_blocks
 from .vqae import GRADIENT_MODES, RENORM_FLOOR, ModelValidationError, VqaeModel, decompress
 
 SLAR_MAGIC = b"SLAR"
@@ -41,7 +41,7 @@ def pack_indices(indices: np.ndarray, bits: int) -> bytes:
     indices = np.asarray(indices)
     if indices.ndim != 2:
         raise ArchiveError(f"index matrix must be 2-D, got shape {indices.shape}")
-    if not 1 <= bits <= 32:
+    if not (_is_count(bits) and bits <= 32):
         raise ArchiveError(f"bits must be in 1..32, got {bits}")
     if indices.size and (indices.min() < 0 or indices.max() >= (1 << bits)):
         raise ArchiveError(f"index out of range for {bits}-bit packing")
@@ -57,7 +57,7 @@ def pack_indices(indices: np.ndarray, bits: int) -> bytes:
 
 def unpack_indices(blob: bytes, n: int, m: int, bits: int) -> np.ndarray:
     """Invert pack_indices; validates bits and the blob length."""
-    if not 1 <= bits <= 32:
+    if not (_is_count(bits) and bits <= 32):
         raise ArchiveError(f"bits must be in 1..32, got {bits}")
     row_bytes = packed_row_bytes(m, bits)
     if len(blob) != n * row_bytes:
@@ -134,7 +134,7 @@ def decompress_vqae_archive(archive: CompressedArchive):
     model, epsilon = _load_vqae(archive)
     try:
         indices, n = archive.packed["indices"][0], archive.header["n"]
-        if type(n) is not int or n != indices.shape[0]:
+        if not _is_count(n, 0) or n != indices.shape[0]:
             raise ArchiveError(f"header n={n!r} disagrees with {indices.shape[0]} packed index rows")
         return decompress(indices, model, epsilon)
     except (KeyError, ModelValidationError) as err:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labels import SoftLabelMatrix
+from .labels import SoftLabelMatrix, _is_count
 from .vqae import (
     RENORM_FLOOR,
     ModelValidationError,
@@ -59,7 +59,7 @@ class ScalarQuantCodec:
     def __post_init__(self):
         levels = np.ascontiguousarray(self.levels, dtype=np.float64)
         object.__setattr__(self, "levels", levels)
-        if levels.ndim != 1 or levels.size < 1:
+        if levels.ndim != 1 or not _is_count(levels.size):
             raise ModelValidationError("levels must be a nonempty 1-D array")
         if np.any(np.diff(levels) <= 0):
             raise ModelValidationError("levels must be strictly increasing")
@@ -88,7 +88,7 @@ def _kmeanspp_1d(values, counts, k, rng):
 def scalar_quant_fit(labels: SoftLabelMatrix, bits: int, seed: int = 0,
                      iterations: int = 100) -> ScalarQuantCodec:
     """Learn 2^bits quantization levels over all probability entries."""
-    if not 1 <= bits <= 8:
+    if not (_is_count(bits) and bits <= 8):
         raise ModelValidationError(f"bits must be in 1..8, got {bits}")
     k = 2 ** bits
     flat = labels.data.reshape(-1)
@@ -155,8 +155,8 @@ class PcaCodec:
 
 
 def pca_fit(labels: SoftLabelMatrix, k_pc: int) -> PcaCodec:
-    if k_pc > min(labels.n, labels.c):
-        raise ModelValidationError(f"k_pc={k_pc} exceeds min(n, c)={min(labels.n, labels.c)}")
+    if not (_is_count(k_pc) and k_pc <= min(labels.n, labels.c)):
+        raise ModelValidationError(f"k_pc must be an integer in 1..{min(labels.n, labels.c)}, got {k_pc}")
     mean = labels.data.mean(axis=0)
     _, _, vt = np.linalg.svd(labels.data - mean, full_matrices=False)
     return PcaCodec(vt[:k_pc], mean)
@@ -186,8 +186,8 @@ def vq_no_ae_fit(labels: SoftLabelMatrix, d_c: int, k: int,
                  config: TrainConfig = TrainConfig()):
     """Segment the raw probability vectors and learn a codebook over blocks."""
     c = labels.c
-    if c % d_c != 0:
-        raise ModelValidationError(f"c={c} not divisible by d_c={d_c}")
+    if not (_is_count(d_c) and _is_count(k)) or c % d_c != 0:
+        raise ModelValidationError(f"need integers k >= 1 and d_c >= 1 dividing c={c}, got k={k}, d_c={d_c}")
     rng = np.random.default_rng(config.seed)
     codebook = _sample_segments(labels.data.reshape(-1, d_c), k, rng, jitter=1e-4)
     identity = np.eye(c)

@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .labels import _finite_positive
+from .labels import _finite_positive, _is_count
 
 GIB = 1024 ** 3
 HALF_LABEL_BYTES = 2   # one half-precision label scalar, as SLAB stores it
@@ -50,8 +50,9 @@ class BudgetSpec:
             v = getattr(self, name)
             if v is None and name not in required:   # the VQ dims are optional
                 continue
-            if not (isinstance(v, int) and v > 0):
+            if not _is_count(v):
                 raise BudgetError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))   # exact byte arithmetic for numpy ints too
 
     @property
     def n(self) -> int:
@@ -93,13 +94,13 @@ class StorageReport:
 
 def bits_per_index(k: int) -> int:
     """ceil(log2 k); byte-exact accounting needs k to be a power of two."""
-    if k < 2:
-        raise BudgetError(f"need k >= 2 for indexing, got k={k}")
-    return max(1, (k - 1).bit_length())
+    if not _is_count(k, 2):
+        raise BudgetError(f"need an integer k >= 2 for indexing, got k={k}")
+    return max(1, int(k - 1).bit_length())
 
 
 def is_power_of_two(k: int) -> bool:
-    return k >= 1 and (k & (k - 1)) == 0
+    return _is_count(k) and (k & (k - 1)) == 0
 
 
 def raw_label_bytes(spec: BudgetSpec) -> int:
@@ -134,8 +135,8 @@ def compression_ratio(spec: BudgetSpec) -> float:
 
 def asymptotic_ratio_class(d_c: int, k: int) -> float:
     """Dominant per-label cost class d_c / log2(k) in the many-epoch limit."""
-    if k < 2:
-        raise BudgetError(f"need k >= 2, got k={k}")
+    if not (_is_count(d_c) and _is_count(k, 2)):
+        raise BudgetError(f"need integers d_c >= 1 and k >= 2, got d_c={d_c}, k={k}")
     return d_c / math.log2(k)
 
 
@@ -143,10 +144,10 @@ def level_set(d_c0: int, k0: int, steps: int):
     """(k, d_c) pairs with identical asymptotic ratio class: square k,
     double d_c each step. Truncates with a warning if k would exceed 2^32.
     """
-    if k0 < 2:
-        raise BudgetError(f"need k0 >= 2, got k0={k0}")
-    pairs = [(k0, d_c0)]
-    k, d_c = k0, d_c0
+    if not (_is_count(d_c0) and _is_count(k0, 2) and _is_count(steps, 0)):
+        raise BudgetError(f"need integers d_c0 >= 1, k0 >= 2, steps >= 0, got {d_c0}, {k0}, {steps}")
+    k, d_c = int(k0), int(d_c0)
+    pairs = [(k, d_c)]
     for _ in range(steps):
         k, d_c = k * k, d_c * 2
         if k > 2 ** 32:
@@ -159,8 +160,8 @@ def level_set(d_c0: int, k0: int, steps: int):
 def topk_bytes(spec: BudgetSpec, k_top: int) -> StorageReport:
     """Top-k: per row, k_top label scalars plus k_top class ids of
     log2(C) bits each."""
-    if k_top > spec.num_classes:
-        raise BudgetError(f"k_top={k_top} exceeds C={spec.num_classes}")
+    if not (_is_count(k_top) and k_top <= spec.num_classes):
+        raise BudgetError(f"k_top must be an integer in 1..{spec.num_classes}, got {k_top}")
     per_row = k_top * (HALF_LABEL_BYTES + math.log2(spec.num_classes) / 8)
     return StorageReport(
         raw_bytes=raw_label_bytes(spec),
@@ -172,8 +173,8 @@ def topk_bytes(spec: BudgetSpec, k_top: int) -> StorageReport:
 
 def pca_bytes(spec: BudgetSpec, k_pc: int) -> StorageReport:
     """PCA: k_pc projections per row plus the shared component vectors."""
-    if k_pc > spec.num_classes:
-        raise BudgetError(f"k_pc={k_pc} exceeds C={spec.num_classes}")
+    if not (_is_count(k_pc) and k_pc <= spec.num_classes):
+        raise BudgetError(f"k_pc must be an integer in 1..{spec.num_classes}, got {k_pc}")
     projections = spec.label_rows * k_pc * HALF_LABEL_BYTES
     vectors = k_pc * spec.num_classes * HALF_LABEL_BYTES
     return StorageReport(
@@ -185,7 +186,7 @@ def pca_bytes(spec: BudgetSpec, k_pc: int) -> StorageReport:
 
 def quant_bytes(spec: BudgetSpec, bits: int) -> StorageReport:
     """Scalar quantization: a level index per entry plus the level table."""
-    if not 1 <= bits <= 8:
+    if not (_is_count(bits) and bits <= 8):
         raise BudgetError(f"bits must be in 1..8, got {bits}")
     index_bits = spec.label_rows * spec.num_classes * bits
     indices = index_bits / 8 if index_bits % 8 else index_bits // 8
@@ -200,8 +201,8 @@ def quant_bytes(spec: BudgetSpec, bits: int) -> StorageReport:
 def llm_raw_bytes(tokens: int, vocab: int, bytes_per_scalar: int = 2) -> int:
     """Uncompressed token-level soft-label cost: one vocab-sized half vector
     per token."""
-    if tokens < 1 or vocab < 1:
-        raise BudgetError("tokens and vocab must be positive")
+    if not all(map(_is_count, (tokens, vocab, bytes_per_scalar))):
+        raise BudgetError("tokens, vocab and bytes_per_scalar must be positive integers")
     return tokens * vocab * bytes_per_scalar
 
 
@@ -229,11 +230,12 @@ def solve_hyperparams(target_ratio: float, spec: BudgetSpec,
     since index bits and codebook bytes both rise, so each k scan stops at the
     first k below the target.
     """
-    if not _finite_positive(target_ratio - 1):
-        raise BudgetError(f"target ratio must be a finite number above 1, got {target_ratio}")
+    if not (_finite_positive(target_ratio - 1) and _is_count(max_k, 2)):
+        raise BudgetError(f"need a target ratio that is a finite number above 1 and an integer "
+                          f"max_k >= 2, got {target_ratio} and {max_k}")
     c = spec.num_classes
     best = None
-    ks = [2 ** b for b in range(1, max_k.bit_length())]
+    ks = [2 ** b for b in range(1, int(max_k).bit_length())]
     for d_h in range(max(1, c // 2), 2 * c + 1):
         for d_c in _divisors(d_h):
             for k in ks:

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -45,10 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("SLVQ_SEED", "0"))
-
-
 def _load_labels(path):
     if str(path).endswith(".csv"):
         return lb.read_labels_csv(path)
@@ -61,7 +58,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=os.environ.get("SLVQ_SEED", "0"))
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("fit", help="train a codec on a label file")
@@ -204,7 +201,8 @@ def _cmd_eval(args):
     teacher = hz.train_teacher(task, seed=args.seed)
     labels = hz.cache_teacher_labels(teacher, task, views=args.views, tau=args.tau,
                                      jitter=args.jitter, seed=args.seed)
-    config = vq.TrainConfig(max_steps=args.steps, seed=args.seed)
+    config = vq.TrainConfig(batch_size=min(vq.TrainConfig.batch_size, labels.n),
+                            max_steps=args.steps, seed=args.seed)
     model, _ = vq.fit(labels, args.d_h, args.d_c, args.k, config)
     reconstructed = vq.decompress(vq.compress(labels, model), model, config.epsilon)
     spec = bd.BudgetSpec(args.n_per_class, args.classes, args.account_epochs,
@@ -275,10 +273,15 @@ def main(argv=None) -> int:
             for command in sub.choices.values():
                 command.set_defaults(**defaults)
         args = parser.parse_args(argv)
+        if not lb._is_count(args.seed, 0):   # also a seed that --config set
+            parser.error(f"argument --seed: need an integer >= 0, got {args.seed!r}")
     except _UsageExit:
         return EXIT_USAGE
     try:
-        result, text = _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            # budget's text ("inexact") and its JSON field "exact" report an inexact k
+            warnings.filterwarnings("ignore", r"k=\d+ is not a power of two", UserWarning)
+            result, text = _COMMANDS[args.command](args)
         print(json.dumps(result) if args.json else text)
         return EXIT_OK
     except (lb.LabelValidationError, lb.LabelFileError, ar.ArchiveError,

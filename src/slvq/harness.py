@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import LabelValidationError, SoftLabelMatrix, _finite_positive, _row_blocks, stable_softmax
+from .labels import (LabelValidationError, SoftLabelMatrix, _finite_positive, _is_count, _row_blocks,
+                     stable_softmax)
 from .optim import AdamW
 from .vqae import ModelValidationError, TrainingError
 
@@ -30,21 +31,15 @@ class SyntheticTask:
         return self.x_train.shape[1]
 
 
-def _is_count(v) -> bool:
-    """An integer of at least 1."""
-    return isinstance(v, (int, np.integer)) and v >= 1
-
-
 def make_task(seed: int, d: int, c: int, n_per_class: int,
               n_test_per_class: int = 50, spread: float = 1.0) -> SyntheticTask:
     """Class-balanced Gaussian clusters; spread controls class overlap
     (0 -> point clusters, larger -> softer teacher labels)."""
-    if c < 2 or n_per_class < 1:
-        raise LabelValidationError(
-            f"need at least 2 classes and 1 sample each, got {c} and {n_per_class}")
-    if not (_is_count(d) and _finite_positive(spread, zero_ok=True)):
-        raise LabelValidationError(
-            f"need an integer d >= 1 and a finite spread >= 0, got {d} and {spread}")
+    if not (_is_count(c, 2) and all(map(_is_count, (n_per_class, n_test_per_class, d)))):
+        raise LabelValidationError(f"need integers c >= 2 and n_per_class, n_test_per_class, d >= 1, "
+                                   f"got {c}, {n_per_class}, {n_test_per_class} and {d}")
+    if not _finite_positive(spread, zero_ok=True):
+        raise LabelValidationError(f"need a finite spread >= 0, got {spread}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((c, d))
 
@@ -119,8 +114,8 @@ def train_mlp_kl(model: MlpModel, x: np.ndarray, targets_per_view, tau: float,
     targets_per_view: array of shape (a, n, c). Returns per-epoch mean loss.
     Raises TrainingError, as ``vqae.fit`` does, once a step overflows or goes NaN.
     """
-    if not _is_count(epochs):
-        raise ModelValidationError(f"need an integer epochs >= 1, got {epochs}")
+    if not (_is_count(epochs) and _is_count(batch_size)):
+        raise ModelValidationError(f"need integer epochs, batch_size >= 1, got {epochs}, {batch_size}")
     rng = np.random.default_rng(seed)
     opt = AdamW(model.params())
     views = targets_per_view.shape[0]

@@ -29,6 +29,11 @@ def _finite_positive(x, zero_ok: bool = False) -> bool:
     return 0 < x < np.inf or zero_ok and x == 0
 
 
+def _is_count(v, least: int = 1) -> bool:
+    """An int or numpy integer, not a bool, of at least ``least``: slvq's one count check."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+
+
 def _row_blocks(n: int, row_elements: int, budget: int) -> list[slice]:
     """Slices that split n rows of ``row_elements`` evenly into blocks of at most
     about ``budget`` elements (a row a block if one row is larger; one empty slice
@@ -74,7 +79,7 @@ class SoftLabelMatrix:
         if data.ndim != 2:
             raise LabelValidationError(f"label data must be 2-D, got shape {data.shape}")
         n, c = data.shape
-        if n < 1 or c < 2:
+        if not (_is_count(n) and _is_count(c, 2)):
             raise LabelValidationError(f"need n >= 1 and c >= 2, got n={n}, c={c}")
         if self.precision_tag not in _PRECISION_DTYPES:
             raise LabelValidationError(f"unknown precision tag {self.precision_tag!r}")
@@ -137,8 +142,9 @@ def softmax_labels(logits: LogitMatrix) -> SoftLabelMatrix:
     return SoftLabelMatrix(stable_softmax(logits.data, logits.temperature))
 
 
-def validate_simplex(labels) -> SimplexReport:
-    """Check that every row is a probability vector; report the first violation.
+def validate_simplex(labels, atol: float = SIMPLEX_ATOL) -> SimplexReport:
+    """Check that every row is a probability vector, its sum within ``atol``
+    of 1; report the first violation.
 
     Accepts a SoftLabelMatrix or a raw 2-D array. Never raises. A valid
     matrix costs two reductions (row sums and the minimum); the element-wise
@@ -149,7 +155,7 @@ def validate_simplex(labels) -> SimplexReport:
     with np.errstate(invalid="ignore", over="ignore"):
         sums = data.sum(axis=1)
     off = np.abs(sums - 1.0)
-    if (off <= SIMPLEX_ATOL).all() and (data.size == 0 or data.min() >= 0):
+    if (off <= atol).all() and (data.size == 0 or data.min() >= 0):
         return SimplexReport(True)
     bad = ~np.isfinite(data)
     if bad.any():
@@ -159,7 +165,7 @@ def validate_simplex(labels) -> SimplexReport:
     if neg.any():
         r, col = np.argwhere(neg)[0]
         return SimplexReport(False, SimplexViolation(int(r), "negative_entry", int(col), float(data[r, col])))
-    r = int(np.argmax(off > SIMPLEX_ATOL))
+    r = int(np.argmax(off > atol))
     return SimplexReport(False, SimplexViolation(r, "row_sum", None, float(sums[r] - 1.0)))
 
 
@@ -201,18 +207,14 @@ def read_slab(path) -> SoftLabelMatrix:
     if len(blob) != expected:
         raise LabelFileError(f"{path}: expected {expected} bytes, found {len(blob)}")
     data = np.frombuffer(blob, dtype=dtype, offset=15).reshape(n, c).astype(np.float64)
-    # a non-finite cell makes its row sum non-finite (half and single values
-    # cannot overflow a float64 sum)
-    with np.errstate(invalid="ignore"):
-        sums = data.sum(axis=1, keepdims=True)
-    if not np.isfinite(sums).all() or (data.size and data.min() < 0):
-        raise LabelFileError(f"{path}: {validate_simplex(data).violation}")
-    if not sums.all():
-        raise LabelFileError(f"{path}: row {int(np.argmin(sums))}: every entry is zero")
-    # Half-precision storage can leave row sums slightly off; renormalize the
-    # tiny residual in place so the in-memory matrix satisfies the simplex
-    # invariant.
-    data /= sums
+    # Rounding each entry to ``dtype`` moves a row sum by at most eps/2 plus
+    # half a subnormal step an entry. Twice that is renormalized away, in
+    # place; a row off by more is rejected, as a CSV row would be.
+    info = np.finfo(dtype)
+    report = validate_simplex(data, SIMPLEX_ATOL + info.eps + c * info.smallest_subnormal)
+    if not report.ok:
+        raise LabelFileError(f"{path}: {report.violation}")
+    data /= data.sum(axis=1, keepdims=True)
     return SoftLabelMatrix(data, precision_tag=tag)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import _CODEC_BLOCK_ELEMENTS, SoftLabelMatrix, _finite_positive, _row_blocks
+from .labels import _CODEC_BLOCK_ELEMENTS, SoftLabelMatrix, _finite_positive, _is_count, _row_blocks
 from .optim import AdamW
 
 STRAIGHT_THROUGH = "straight_through"
@@ -61,7 +61,7 @@ class VqaeModel:
             raise ModelValidationError(
                 f"decoder shape {self.decoder.shape} does not match encoder {self.encoder.shape}")
         k, d_c = self.codebook.shape
-        if k < 1 or d_c < 1:
+        if not (_is_count(k) and _is_count(d_c)):
             raise ModelValidationError(f"codebook must be at least 1 x 1, got {k} x {d_c}")
         if d_h % d_c != 0:
             raise ModelValidationError(f"d_h={d_h} not divisible by d_c={d_c}")
@@ -106,9 +106,9 @@ class TrainConfig:
             if not _finite_positive(value := getattr(self, name), zero_ok):
                 raise ModelValidationError(f"{name} must be finite and "
                                            f"{'non-negative' if zero_ok else 'positive'}, got {value}")
-        if self.batch_size < 1 or self.max_steps < 0:
-            raise ModelValidationError(f"need batch_size >= 1 and max_steps >= 0, got "
-                                       f"{self.batch_size} and {self.max_steps}")
+        if not (_is_count(self.batch_size) and _is_count(self.max_steps, 0) and _is_count(self.seed, 0)):
+            raise ModelValidationError(f"need batch_size >= 1 and max_steps >= 0 and seed >= 0, got "
+                                       f"{self.batch_size}, {self.max_steps} and {self.seed}")
         if self.gradient_mode not in GRADIENT_MODES:
             raise ModelValidationError(f"unknown gradient mode {self.gradient_mode!r}")
 
@@ -330,7 +330,7 @@ def fit(labels: SoftLabelMatrix | np.ndarray, d_h: int, d_c: int, k: int,
     TrainingError carrying the trace if the loss or an update goes non-finite.
     """
     Y = _as_rows(labels)
-    if min(d_h, d_c, k) < 1 or d_h % d_c != 0:
+    if not all(map(_is_count, (d_h, d_c, k))) or d_h % d_c != 0:
         raise ModelValidationError(
             f"need d_h, d_c, k >= 1 with d_c dividing d_h, got d_h={d_h}, d_c={d_c}, k={k}")
     if Y.shape[0] < config.batch_size:
@@ -446,8 +446,8 @@ class TopkVqModel:
 def topk_select(data: np.ndarray, k_top: int):
     """Per-row top-k values (rank order) and class indices, ties -> lowest class."""
     c = data.shape[1]
-    if k_top > c:
-        raise ModelValidationError(f"k_top={k_top} exceeds c={c}")
+    if not (_is_count(k_top) and k_top <= c):
+        raise ModelValidationError(f"k_top must be an integer in 1..{c}, got {k_top}")
     # stable sort on -value keeps the lower class index first on ties
     order = np.argsort(-data, axis=1, kind="stable")[:, :k_top]
     values = np.take_along_axis(data, order, axis=1)

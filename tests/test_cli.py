@@ -335,3 +335,37 @@ class TestConfigAndSeed:
                          "--steps", "10", "--seed", "9")
         assert code == EXIT_OK
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestEvalBatchAndBudgetWarnings:
+    def test_eval_caps_its_fit_batch_at_the_label_rows(self, capsys):
+        # 4 classes x 2 rows x 1 view are 8 label rows, fewer than the default batch of 64
+        code, out, err = run(capsys, "eval", "--classes", "4", "--n-per-class", "2",
+                             "--views", "1", "--steps", "5", "--student-epochs", "1", "--json")
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["codec"] == "vqae"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_inexact_k_is_reported_only_in_the_output(self, capsys, json_flag):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "budget", "--ipc", "10", "--classes", "100",
+                                 "--epochs", "300", "--d-h", "50", "--d-c", "5", "--k", "3",
+                                 *json_flag)
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["exact"] is False if json_flag else "inexact" in out
+
+    def test_eval_with_inexact_k_prints_no_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "eval", "--classes", "4", "--n-per-class", "2",
+                               "--views", "1", "--steps", "2", "--student-epochs", "1", "--k", "3")
+        assert code == EXIT_OK and err == ""
+
+    def test_other_warnings_still_reach_the_user(self, capsys, monkeypatch):
+        def warn(spec):
+            warnings.warn("some other warning")
+            return 0
+        monkeypatch.setattr("slvq.budget.raw_label_bytes", warn)
+        with pytest.warns(UserWarning, match="some other warning"):
+            assert run(capsys, "budget", "--ipc", "1", "--classes", "2", "--epochs", "1")[0] == EXIT_OK

@@ -1,5 +1,5 @@
 """Byte-mutation and truncation fuzzing of the files slvq reads, and
-argument fuzzing of ``slvq fit``.
+argument fuzzing of ``slvq fit``, ``eval``, ``solve`` and ``budget``.
 
 Model files and label archives are CRC-checked SLAR containers, so every
 altered one must be rejected with exit 2. SLAB label files carry no
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slvq.archive import write_model
-from slvq.cli import EXIT_DATA, EXIT_OK, main
+from slvq.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from slvq.labels import write_slab
 
 from conftest import random_labels
@@ -104,3 +104,49 @@ def test_fit_arguments_exit_0_or_one_error_line(files, d_h, d_c, k, batch_size, 
     else:
         assert code == EXIT_DATA
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def ints(lo, hi, least):
+    """Integers in lo..hi, drawn from the valid least..hi about half the time."""
+    return st.integers(least, hi) | st.integers(lo, hi)
+
+
+# Each flag's strategy; None leaves the flag out. Eval shapes stay tiny and
+# solve's classes stay at or below 20, so each run takes well under a second.
+K = st.sampled_from([3, 5, 6, 12, 100]) | st.sampled_from([-1, 0, 1, 2, 16, 1024])
+SEEDS = ints(-2, 3, 0)
+TARGETS = st.floats(1.5, 300).map(repr) | st.sampled_from(["nan", "inf", "-inf", "1", "0.5", "-2"])
+COMMAND_FLAGS = {
+    "eval": {"classes": ints(1, 4, 2), "n-per-class": ints(0, 4, 1), "views": ints(0, 2, 1),
+             "dim": ints(0, 3, 1), "steps": ints(-1, 3, 0), "student-epochs": ints(-1, 2, 1),
+             "k": K, "seed": SEEDS},
+    "solve": {"target": TARGETS, "ipc": ints(-1, 50, 1), "classes": ints(-1, 20, 1),
+              "epochs": ints(-1, 300, 1), "aug": st.none() | ints(-1, 3, 1), "seed": SEEDS},
+    "budget": {"ipc": ints(-1, 100, 1), "classes": ints(-1, 1000, 1), "epochs": ints(-1, 300, 1),
+               "aug": st.none() | ints(-1, 3, 1), "d-h": st.none() | ints(-1, 1000, 1),
+               "d-c": st.none() | ints(-1, 50, 1), "k": st.none() | K, "seed": SEEDS},
+}
+
+
+@st.composite
+def command_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag, strategy in COMMAND_FLAGS[command].items():
+        value = draw(strategy)
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@given(argv=command_argv())
+@settings(max_examples=300, deadline=None)
+def test_eval_solve_budget_exit_0_or_one_error_line(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = cli(argv)
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert code in (EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+        assert err.startswith(("error:", "numeric failure:")) and err.count("\n") == 1

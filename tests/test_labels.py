@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,3 +199,53 @@ class TestCsvIO:
         path.write_text("0,1\n0.5,0.5\n0.5\n")
         with pytest.raises(LabelFileError):
             read_labels_csv(path)
+
+
+def slab_bytes(rows, precision="half"):
+    dtype, code = {"half": ("<f2", 0), "single": ("<f4", 1)}[precision]
+    data = np.asarray(rows, dtype=dtype)
+    return b"SLAB" + struct.pack("<HIIB", 1, data.shape[1], data.shape[0], code) + data.tobytes()
+
+
+class TestSlabSimplexRule:
+    """A SLAB row is renormalized only by the error its storage rounding
+    explains; a row off by more is rejected, naming the row, as in CSV."""
+
+    def test_row_off_the_simplex_rejected_as_in_csv(self, tmp_path):
+        slab, csv_path = tmp_path / "bad.slab", tmp_path / "bad.csv"
+        slab.write_bytes(slab_bytes([[2, 2]]))
+        csv_path.write_text("0,1\n2,2\n")
+        with pytest.raises(LabelFileError) as from_slab:
+            read_slab(slab)
+        with pytest.raises(LabelValidationError) as from_csv:
+            read_labels_csv(csv_path)
+        assert str(from_slab.value) == f"{slab}: row 0: sum off by 3"
+        assert str(from_csv.value).endswith("row 0: sum off by 3")
+
+    def test_names_the_row_beyond_the_bound(self, tmp_path):
+        # row 0 is off by one half-precision step at 0.5 (4.9e-4), within the bound
+        path = tmp_path / "bad.slab"
+        path.write_bytes(slab_bytes([[0.5, np.nextafter(np.float16(0.5), np.float16(1))],
+                                     [0.25, 0.25], [0.5, 0.5]]))
+        with pytest.raises(LabelFileError, match="row 1: sum off by -0.5"):
+            read_slab(path)
+
+    @pytest.mark.parametrize("off, ok", [(5e-7, True), (2e-6, False)])
+    def test_single_precision_bound(self, tmp_path, off, ok):
+        # the bound at single precision is 1e-6 + eps + c * smallest subnormal, about 1.1e-6
+        path = tmp_path / "labels.slab"
+        path.write_bytes(slab_bytes([[0.25, 0.75], [0.5, 0.5 + off]], "single"))
+        if ok:
+            np.testing.assert_allclose(read_slab(path).data.sum(axis=1), 1.0, atol=1e-15)
+        else:
+            with pytest.raises(LabelFileError, match="row 1: sum off by"):
+                read_slab(path)
+
+    @pytest.mark.parametrize("precision", ["half", "single"])
+    @pytest.mark.parametrize("c, alpha", [(1000, 0.05), (1000, 1.0), (4000, 0.01)])
+    def test_stored_dirichlet_labels_read_back(self, tmp_path, precision, c, alpha):
+        labels = SoftLabelMatrix(np.random.default_rng(c).dirichlet(np.full(c, alpha), size=50),
+                                 precision_tag=precision)
+        write_slab(labels, tmp_path / "labels.slab")
+        back = read_slab(tmp_path / "labels.slab")
+        np.testing.assert_allclose(back.data, labels.data, atol=2e-3)
