@@ -26,10 +26,16 @@ SLAR_MAGIC = b"SLAR"
 SLAR_VERSION = 1
 
 CODEC_VQAE = 0   # the only codec a SLAR archive carries
+_PARAM_DTYPE = np.dtype("<f4")   # the type every stored codec parameter takes
 
 
 class ArchiveError(ValueError):
     """Raised on malformed, truncated, or corrupted archive files."""
+
+
+def _index_bits(k: int) -> int:
+    """Bits a stored code index takes: ceil(log2 k), and 1 for k = 1."""
+    return max(1, int(k - 1).bit_length())
 
 
 def packed_row_bytes(m: int, bits: int) -> int:
@@ -79,7 +85,7 @@ class CompressedArchive:
 
     codec_id: int
     header: dict
-    arrays: dict = field(default_factory=dict)        # name -> float64 ndarray (stored f32)
+    arrays: dict = field(default_factory=dict)        # name -> float64 ndarray (stored _PARAM_DTYPE)
     packed: dict = field(default_factory=dict)        # name -> (indices, bits)
 
     def __post_init__(self):
@@ -87,28 +93,29 @@ class CompressedArchive:
             raise ArchiveError(f"unknown codec id {self.codec_id}")
 
 
-def _f32_weights(arrays: dict) -> dict:
-    """``arrays``, once every weight is checked to fit float32, the type sections are stored in."""
-    limit = np.finfo(np.float32).max
+def _dims(model: VqaeModel) -> dict:
+    return {"c": model.c, "d_h": model.d_h, "d_c": model.d_c, "k": model.k}
+
+
+def _vqae_container(model: VqaeModel, epsilon: float, arrays: dict, packed: dict,
+                    **header) -> CompressedArchive:
+    """The VQAE container both writers build: ``arrays`` once every weight fits
+    the stored parameter type, under a header of the model's dims and epsilon."""
+    if not _finite_positive(epsilon):
+        raise ModelValidationError(f"cannot write epsilon {epsilon!r}")
+    limit = np.finfo(_PARAM_DTYPE).max
     for name, arr in arrays.items():
         if arr.size and (arr.min() < -limit or arr.max() > limit):
-            raise ModelValidationError(f"{name} has weights outside the float32 range")
-    return arrays
+            raise ModelValidationError(f"{name} has weights outside the {_PARAM_DTYPE.name} range")
+    return CompressedArchive(CODEC_VQAE, {**_dims(model), "epsilon": float(epsilon), **header},
+                             arrays, packed)
 
 
 def vqae_archive(model: VqaeModel, indices: np.ndarray, epsilon: float = RENORM_FLOOR) -> CompressedArchive:
     """Bundle what the decoder side needs: indices, codebook, and decoder."""
-    if not _finite_positive(epsilon):
-        raise ModelValidationError(f"cannot write epsilon {epsilon!r}")
-    bits = max(1, (model.k - 1).bit_length())
-    header = {"c": model.c, "d_h": model.d_h, "d_c": model.d_c, "k": model.k,
-              "n": int(np.asarray(indices).shape[0]), "epsilon": epsilon}
-    return CompressedArchive(
-        codec_id=CODEC_VQAE,
-        header=header,
-        arrays=_f32_weights({"codebook": model.codebook, "decoder": model.decoder}),
-        packed={"indices": (np.asarray(indices), bits)},
-    )
+    indices = np.asarray(indices)
+    return _vqae_container(model, epsilon, {"codebook": model.codebook, "decoder": model.decoder},
+                           {"indices": (indices, _index_bits(model.k))}, n=int(indices.shape[0]))
 
 
 def _load_vqae(archive: CompressedArchive):
@@ -117,8 +124,7 @@ def _load_vqae(archive: CompressedArchive):
     h, arrays = archive.header, archive.arrays
     try:
         model = VqaeModel(arrays.get("encoder"), arrays["decoder"], arrays["codebook"])
-        stored = {"c": model.c, "d_h": model.d_h, "d_c": model.d_c, "k": model.k}
-        wrong = [key for key, value in stored.items() if h[key] != value]
+        wrong = [key for key, value in _dims(model).items() if h[key] != value]
         epsilon = h["epsilon"]
     except (KeyError, TypeError, ModelValidationError) as err:
         raise ArchiveError(f"malformed VQAE archive ({type(err).__name__}: {err})") from None
@@ -142,33 +148,35 @@ def decompress_vqae_archive(archive: CompressedArchive):
 
 
 # ---------------------------------------------------------------------------
-# On-disk container. Layout:
-#   magic "SLAR" | u16 version | u8 codec_id
-#   u32 header_len | header JSON (sorted keys, utf-8)
-#   u16 array count | per array: u16 name_len, name, u32 rows, u32 cols, f32 data
-#   u16 packed count | per packed: u16 name_len, name, u32 n, u32 m, u8 bits, blob
-#   u32 CRC32 of everything above
+# On-disk container, little-endian: one struct per frame piece, shared by writer and reader.
 # ---------------------------------------------------------------------------
+
+_SLAR_HEAD = struct.Struct("<4sHBI")   # magic "SLAR", u16 version, u8 codec_id, u32 length of the header JSON
+_SLAR_U16 = struct.Struct("<H")        # a section count (arrays, then packed), or the length of a name
+_SLAR_ARRAY = struct.Struct("<II")     # after an array's name: rows, cols, then _PARAM_DTYPE data
+_SLAR_PACKED = struct.Struct("<IIB")   # after a packed section's name: n, m, bits, then the packed rows
+_SLAR_CRC = struct.Struct("<I")        # CRC32 of everything before it
+
 
 def _encode_archive(archive: CompressedArchive) -> bytes:
     header_blob = json.dumps(archive.header, sort_keys=True).encode()
-    parts = [SLAR_MAGIC, struct.pack("<HBI", SLAR_VERSION, archive.codec_id, len(header_blob)),
-             header_blob, struct.pack("<H", len(archive.arrays))]
+    parts = [_SLAR_HEAD.pack(SLAR_MAGIC, SLAR_VERSION, archive.codec_id, len(header_blob)),
+             header_blob, _SLAR_U16.pack(len(archive.arrays))]
     for name in sorted(archive.arrays):
-        arr = np.ascontiguousarray(archive.arrays[name], dtype="<f4")
+        arr = np.ascontiguousarray(archive.arrays[name], dtype=_PARAM_DTYPE)
         nm = name.encode()
-        parts += [struct.pack("<H", len(nm)), nm, struct.pack("<II", *arr.shape), arr.tobytes()]
-    parts.append(struct.pack("<H", len(archive.packed)))
+        parts += [_SLAR_U16.pack(len(nm)), nm, _SLAR_ARRAY.pack(*arr.shape), arr.tobytes()]
+    parts.append(_SLAR_U16.pack(len(archive.packed)))
     for name in sorted(archive.packed):
         indices, bits = archive.packed[name]
         nm = name.encode()
-        parts += [struct.pack("<H", len(nm)), nm, struct.pack("<IIB", *indices.shape, bits),
+        parts += [_SLAR_U16.pack(len(nm)), nm, _SLAR_PACKED.pack(*indices.shape, bits),
                   pack_indices(indices, bits)]
     # a running CRC, so the body is joined once, trailer included
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
-    return b"".join([*parts, struct.pack("<I", crc)])
+    return b"".join([*parts, _SLAR_CRC.pack(crc)])
 
 
 def write_archive(archive: CompressedArchive, path) -> None:
@@ -180,9 +188,9 @@ def write_archive(archive: CompressedArchive, path) -> None:
 def read_archive(path) -> CompressedArchive:
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < 15 or blob[:4] != SLAR_MAGIC:
+    if len(blob) < _SLAR_HEAD.size + _SLAR_CRC.size or blob[:4] != SLAR_MAGIC:
         raise ArchiveError(f"{path}: not a SLAR archive")
-    body, (crc,) = memoryview(blob)[:-4], struct.unpack("<I", blob[-4:])
+    body, (crc,) = memoryview(blob)[:-_SLAR_CRC.size], _SLAR_CRC.unpack(blob[-_SLAR_CRC.size:])
     if zlib.crc32(body) != crc:
         raise ArchiveError(f"{path}: CRC32 mismatch, file corrupted")
     try:
@@ -192,31 +200,31 @@ def read_archive(path) -> CompressedArchive:
 
 
 def _decode_body(view: memoryview) -> CompressedArchive:
-    off = 4   # slices of a memoryview copy nothing
+    off = 0   # slices of a memoryview copy nothing
 
     def take_bytes(size):
         nonlocal off
         off += size
         return view[off - size:off]
 
-    def take(fmt):
-        return struct.unpack(fmt, take_bytes(struct.calcsize(fmt)))
+    def take(frame):
+        return frame.unpack(take_bytes(frame.size))
 
-    version, codec_id = take("<HB")
+    _, version, codec_id, header_len = take(_SLAR_HEAD)   # read_archive checked the magic
     if version != SLAR_VERSION:
         raise ArchiveError(f"unsupported version {version}")
-    header = json.loads(str(take_bytes(*take("<I")), "utf-8"))
+    header = json.loads(str(take_bytes(header_len), "utf-8"))
     if not isinstance(header, dict):
         raise ArchiveError("header is not a JSON object")
     arrays, packed = {}, {}
-    for _ in range(*take("<H")):
-        name = str(take_bytes(*take("<H")), "utf-8")
-        rows, cols = take("<II")
-        data = np.frombuffer(take_bytes(rows * cols * 4), dtype="<f4")
+    for _ in range(*take(_SLAR_U16)):
+        name = str(take_bytes(*take(_SLAR_U16)), "utf-8")
+        rows, cols = take(_SLAR_ARRAY)
+        data = np.frombuffer(take_bytes(rows * cols * _PARAM_DTYPE.itemsize), dtype=_PARAM_DTYPE)
         arrays[name] = data.reshape(rows, cols).astype(np.float64)
-    for _ in range(*take("<H")):
-        name = str(take_bytes(*take("<H")), "utf-8")
-        n, m, bits = take("<IIB")
+    for _ in range(*take(_SLAR_U16)):
+        name = str(take_bytes(*take(_SLAR_U16)), "utf-8")
+        n, m, bits = take(_SLAR_PACKED)
         packed[name] = (unpack_indices(take_bytes(n * packed_row_bytes(m, bits)), n, m, bits), bits)
     if off != len(view):
         raise ArchiveError(f"{len(view) - off} trailing bytes")
@@ -227,13 +235,10 @@ def write_model(model: VqaeModel, path, gradient_mode: str = "straight_through",
                 epsilon: float = RENORM_FLOOR) -> None:
     if model.encoder is None:
         raise ModelValidationError("a decode-side model has no encoder to write")
-    if gradient_mode not in GRADIENT_MODES or not _finite_positive(epsilon):
-        raise ModelValidationError(
-            f"cannot write gradient mode {gradient_mode!r} with epsilon {epsilon!r}")
-    header = {"c": model.c, "d_h": model.d_h, "d_c": model.d_c, "k": model.k,
-              "epsilon": float(epsilon), "gradient_mode": gradient_mode}
+    if gradient_mode not in GRADIENT_MODES:
+        raise ModelValidationError(f"cannot write gradient mode {gradient_mode!r}")
     arrays = {"encoder": model.encoder, "decoder": model.decoder, "codebook": model.codebook}
-    write_archive(CompressedArchive(CODEC_VQAE, header, _f32_weights(arrays)), path)
+    write_archive(_vqae_container(model, epsilon, arrays, {}, gradient_mode=gradient_mode), path)
 
 
 def read_model(path):

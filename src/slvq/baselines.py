@@ -32,10 +32,6 @@ class TopkArchive:
     class_indices: np.ndarray  # n x k_top class ids
     num_classes: int
 
-    @property
-    def k_top(self) -> int:
-        return self.values.shape[1]
-
 
 def topk_compress(labels: SoftLabelMatrix, k_top: int) -> TopkArchive:
     values, classes = topk_select(labels.data, k_top)
@@ -64,10 +60,6 @@ class ScalarQuantCodec:
         if np.any(np.diff(levels) <= 0):
             raise ModelValidationError("levels must be strictly increasing")
 
-    @property
-    def bits(self) -> int:
-        return int(np.ceil(np.log2(self.levels.size))) if self.levels.size > 1 else 1
-
 
 def _kmeanspp_1d(values, counts, k, rng):
     """k-means++ seeds; d2 keeps each value's squared distance to its nearest
@@ -93,30 +85,26 @@ def scalar_quant_fit(labels: SoftLabelMatrix, bits: int, seed: int = 0,
     k = 2 ** bits
     flat = labels.data.reshape(-1)
     values, counts = np.unique(flat, return_counts=True)
-    if values.size <= k:
-        # degenerate data: every distinct value gets its own level; pad the
-        # remainder above the max to keep the level list strictly increasing
-        pad = values[-1] + np.arange(1, k - values.size + 1)
-        return ScalarQuantCodec(np.concatenate([values, pad]))
-    rng = np.random.default_rng(seed)
-    centers = np.sort(_kmeanspp_1d(values, counts.astype(np.float64), k, rng))
-    for _ in range(iterations):
-        # nearest center per unique value (centers sorted: midpoint thresholds)
-        edges = (centers[1:] + centers[:-1]) / 2
-        assign = np.searchsorted(edges, values)
-        sums = np.bincount(assign, weights=values * counts, minlength=k)
-        totals = np.bincount(assign, weights=counts, minlength=k)
-        new = np.where(totals > 0, sums / np.maximum(totals, 1), centers)
-        new = np.sort(new)
-        if np.allclose(new, centers, rtol=0, atol=1e-15):
+    centers = values   # degenerate data: every distinct value gets its own level
+    if values.size > k:
+        rng = np.random.default_rng(seed)
+        centers = np.sort(_kmeanspp_1d(values, counts.astype(np.float64), k, rng))
+        for _ in range(iterations):
+            # nearest center per unique value (centers sorted: midpoint thresholds)
+            edges = (centers[1:] + centers[:-1]) / 2
+            assign = np.searchsorted(edges, values)
+            sums = np.bincount(assign, weights=values * counts, minlength=k)
+            totals = np.bincount(assign, weights=counts, minlength=k)
+            new = np.where(totals > 0, sums / np.maximum(totals, 1), centers)
+            new = np.sort(new)
+            if np.allclose(new, centers, rtol=0, atol=1e-15):
+                centers = new
+                break
             centers = new
-            break
-        centers = new
-    centers = np.unique(centers)
-    if centers.size < k:
-        pad = centers[-1] + np.arange(1, k - centers.size + 1)
-        centers = np.concatenate([centers, pad])
-    return ScalarQuantCodec(centers)
+        centers = np.unique(centers)
+    # pad the remainder above the max to keep the level list strictly increasing
+    pad = centers[-1] + np.arange(1, k - centers.size + 1)
+    return ScalarQuantCodec(np.concatenate([centers, pad]))
 
 
 def scalar_quant_apply(codec: ScalarQuantCodec, labels: SoftLabelMatrix) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Storage accounting for raw and compressed soft labels.
 
 All byte counts follow the half-precision-label / single-precision-parameter
-convention: label scalars cost 2 bytes, codec parameters 4 bytes. GB and MB
+convention, with the widths and the index width the writers (``labels``,
+``archive``) store. A report's total is the sum of its breakdown. GB and MB
 are 1024-based throughout (1 GB = 1024^3 bytes).
 
 ``vq_bytes`` prices what a SLAR archive stores (less its row padding and
@@ -16,11 +17,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .labels import _finite_positive, _is_count
+from .archive import _PARAM_DTYPE, _index_bits
+from .labels import _PRECISION_DTYPES, _finite_positive, _is_count
 
 GIB = 1024 ** 3
-HALF_LABEL_BYTES = 2   # one half-precision label scalar, as SLAB stores it
-F32_PARAM_BYTES = 4    # one f32 codec parameter, as SLAR stores it
+HALF_LABEL_BYTES = _PRECISION_DTYPES["half"].itemsize   # one half label scalar, as SLAB stores it
+F32_PARAM_BYTES = _PARAM_DTYPE.itemsize                  # one codec parameter, as SLAR stores it
 
 
 class BudgetError(ValueError):
@@ -72,9 +74,12 @@ class BudgetSpec:
 @dataclass(frozen=True)
 class StorageReport:
     raw_bytes: float
-    compressed_bytes: float
     breakdown: dict = field(default_factory=dict)
     exact: bool = True
+
+    @property
+    def compressed_bytes(self) -> float:
+        return sum(self.breakdown.values())
 
     @property
     def ratio(self) -> float:
@@ -96,7 +101,11 @@ def bits_per_index(k: int) -> int:
     """ceil(log2 k); byte-exact accounting needs k to be a power of two."""
     if not _is_count(k, 2):
         raise BudgetError(f"need an integer k >= 2 for indexing, got k={k}")
-    return max(1, int(k - 1).bit_length())
+    return _index_bits(k)
+
+
+def _bytes_of_bits(bits: int) -> float:
+    return bits / 8 if bits % 8 else bits // 8   # an int when whole
 
 
 def is_power_of_two(k: int) -> bool:
@@ -117,16 +126,11 @@ def vq_bytes(spec: BudgetSpec) -> StorageReport:
         warnings.warn(f"k={spec.k} is not a power of two; using ceil(log2 k)={bits} bits",
                       stacklevel=2)
     m = spec.d_h // spec.d_c
-    batch_bits = spec.label_rows * m * bits
-    batch = batch_bits / 8 if batch_bits % 8 else batch_bits // 8
+    batch = _bytes_of_bits(spec.label_rows * m * bits)
     decoder = spec.num_classes * spec.d_h * F32_PARAM_BYTES
     codebook = spec.k * spec.d_c * F32_PARAM_BYTES
-    return StorageReport(
-        raw_bytes=raw_label_bytes(spec),
-        compressed_bytes=batch + decoder + codebook,
-        breakdown={"batch_data": batch, "decoder": decoder, "codebook": codebook},
-        exact=exact,
-    )
+    return StorageReport(raw_label_bytes(spec), {"batch_data": batch, "decoder": decoder,
+                                                 "codebook": codebook}, exact)
 
 
 def compression_ratio(spec: BudgetSpec) -> float:
@@ -162,13 +166,9 @@ def topk_bytes(spec: BudgetSpec, k_top: int) -> StorageReport:
     log2(C) bits each."""
     if not (_is_count(k_top) and k_top <= spec.num_classes):
         raise BudgetError(f"k_top must be an integer in 1..{spec.num_classes}, got {k_top}")
-    per_row = k_top * (HALF_LABEL_BYTES + math.log2(spec.num_classes) / 8)
-    return StorageReport(
-        raw_bytes=raw_label_bytes(spec),
-        compressed_bytes=spec.label_rows * per_row,
-        breakdown={"values": spec.label_rows * k_top * HALF_LABEL_BYTES,
-                   "indices": spec.label_rows * k_top * math.log2(spec.num_classes) / 8},
-    )
+    return StorageReport(raw_label_bytes(spec),
+                         {"values": spec.label_rows * k_top * HALF_LABEL_BYTES,
+                          "indices": spec.label_rows * k_top * math.log2(spec.num_classes) / 8})
 
 
 def pca_bytes(spec: BudgetSpec, k_pc: int) -> StorageReport:
@@ -177,28 +177,19 @@ def pca_bytes(spec: BudgetSpec, k_pc: int) -> StorageReport:
         raise BudgetError(f"k_pc must be an integer in 1..{spec.num_classes}, got {k_pc}")
     projections = spec.label_rows * k_pc * HALF_LABEL_BYTES
     vectors = k_pc * spec.num_classes * HALF_LABEL_BYTES
-    return StorageReport(
-        raw_bytes=raw_label_bytes(spec),
-        compressed_bytes=projections + vectors,
-        breakdown={"projections": projections, "vectors": vectors},
-    )
+    return StorageReport(raw_label_bytes(spec), {"projections": projections, "vectors": vectors})
 
 
 def quant_bytes(spec: BudgetSpec, bits: int) -> StorageReport:
     """Scalar quantization: a level index per entry plus the level table."""
     if not (_is_count(bits) and bits <= 8):
         raise BudgetError(f"bits must be in 1..8, got {bits}")
-    index_bits = spec.label_rows * spec.num_classes * bits
-    indices = index_bits / 8 if index_bits % 8 else index_bits // 8
+    indices = _bytes_of_bits(spec.label_rows * spec.num_classes * bits)
     levels = (2 ** bits) * HALF_LABEL_BYTES
-    return StorageReport(
-        raw_bytes=raw_label_bytes(spec),
-        compressed_bytes=indices + levels,
-        breakdown={"indices": indices, "levels": levels},
-    )
+    return StorageReport(raw_label_bytes(spec), {"indices": indices, "levels": levels})
 
 
-def llm_raw_bytes(tokens: int, vocab: int, bytes_per_scalar: int = 2) -> int:
+def llm_raw_bytes(tokens: int, vocab: int, bytes_per_scalar: int = HALF_LABEL_BYTES) -> int:
     """Uncompressed token-level soft-label cost: one vocab-sized half vector
     per token."""
     if not all(map(_is_count, (tokens, vocab, bytes_per_scalar))):
@@ -235,7 +226,7 @@ def solve_hyperparams(target_ratio: float, spec: BudgetSpec,
                           f"max_k >= 2, got {target_ratio} and {max_k}")
     c = spec.num_classes
     best = None
-    ks = [2 ** b for b in range(1, int(max_k).bit_length())]
+    ks = [2 ** b for b in range(1, _index_bits(max_k + 1))]   # every power of two <= max_k
     for d_h in range(max(1, c // 2), 2 * c + 1):
         for d_c in _divisors(d_h):
             for k in ks:

@@ -196,6 +196,10 @@ def _cmd_solve(args):
 
 
 def _cmd_eval(args):
+    # the budget is priced first, so a bad accounting flag trains nothing
+    spec = bd.BudgetSpec(args.n_per_class, args.classes, args.account_epochs,
+                         d_h=args.d_h, d_c=args.d_c, k=args.k)
+    ratio = bd.compression_ratio(spec)
     task = hz.make_task(args.seed, args.dim, args.classes, args.n_per_class,
                         spread=args.spread)
     teacher = hz.train_teacher(task, seed=args.seed)
@@ -205,9 +209,7 @@ def _cmd_eval(args):
                             max_steps=args.steps, seed=args.seed)
     model, _ = vq.fit(labels, args.d_h, args.d_c, args.k, config)
     reconstructed = vq.decompress(vq.compress(labels, model), model, config.epsilon)
-    spec = bd.BudgetSpec(args.n_per_class, args.classes, args.account_epochs,
-                         d_h=args.d_h, d_c=args.d_c, k=args.k)
-    report = hz.compare(task, labels, reconstructed, bd.compression_ratio(spec),
+    report = hz.compare(task, labels, reconstructed, ratio,
                         tau=args.tau, epochs=args.student_epochs, seed=args.seed,
                         codec_name="vqae")
     if args.csv:

@@ -38,6 +38,8 @@ def make_task(seed: int, d: int, c: int, n_per_class: int,
     if not (_is_count(c, 2) and all(map(_is_count, (n_per_class, n_test_per_class, d)))):
         raise LabelValidationError(f"need integers c >= 2 and n_per_class, n_test_per_class, d >= 1, "
                                    f"got {c}, {n_per_class}, {n_test_per_class} and {d}")
+    if not _is_count(seed, 0):
+        raise LabelValidationError(f"need an integer seed >= 0, got {seed!r}")
     if not _finite_positive(spread, zero_ok=True):
         raise LabelValidationError(f"need a finite spread >= 0, got {spread}")
     rng = np.random.default_rng(seed)
@@ -79,6 +81,8 @@ class MlpModel:
 
 
 def init_mlp(d: int, hidden: int, c: int, seed: int) -> MlpModel:
+    if not (_is_count(hidden) and _is_count(seed, 0)):
+        raise ModelValidationError(f"need integers hidden >= 1 and seed >= 0, got {hidden!r} and {seed!r}")
     rng = np.random.default_rng(seed)
     return MlpModel(
         w1=rng.uniform(-1, 1, size=(d, hidden)) / np.sqrt(d),
@@ -114,8 +118,9 @@ def train_mlp_kl(model: MlpModel, x: np.ndarray, targets_per_view, tau: float,
     targets_per_view: array of shape (a, n, c). Returns per-epoch mean loss.
     Raises TrainingError, as ``vqae.fit`` does, once a step overflows or goes NaN.
     """
-    if not (_is_count(epochs) and _is_count(batch_size)):
-        raise ModelValidationError(f"need integer epochs, batch_size >= 1, got {epochs}, {batch_size}")
+    if not (_is_count(epochs) and _is_count(batch_size) and _is_count(seed, 0)):
+        raise ModelValidationError(f"need integer epochs, batch_size >= 1 and seed >= 0, "
+                                   f"got {epochs}, {batch_size}, {seed}")
     rng = np.random.default_rng(seed)
     opt = AdamW(model.params())
     views = targets_per_view.shape[0]
@@ -153,9 +158,9 @@ def cache_teacher_labels(teacher: MlpModel, task: SyntheticTask, views: int = 1,
 
     Rows are view-major: rows [v*n, (v+1)*n) hold view v for all samples.
     """
-    if not (_is_count(views) and _finite_positive(jitter, zero_ok=True)):
-        raise LabelValidationError(
-            f"need an integer views >= 1 and a finite jitter >= 0, got {views} and {jitter}")
+    if not (_is_count(views) and _finite_positive(jitter, zero_ok=True) and _is_count(seed, 0)):
+        raise LabelValidationError(f"need integers views >= 1 and seed >= 0 and a finite jitter >= 0, "
+                                   f"got {views}, {seed} and {jitter}")
     rng = np.random.default_rng(seed)
     n = task.x_train.shape[0]
     out = np.empty((views * n, teacher.b2.size))

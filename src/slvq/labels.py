@@ -14,12 +14,13 @@ import numpy as np
 
 SIMPLEX_ATOL = 1e-6
 
-_PRECISION_DTYPES = {"half": np.float16, "single": np.float32}
+_PRECISION_DTYPES = {"half": np.dtype(np.float16), "single": np.dtype(np.float32)}
 _PRECISION_CODES = {"half": 0, "single": 1}
 _CODE_PRECISIONS = {v: k for k, v in _PRECISION_CODES.items()}
 
 SLAB_MAGIC = b"SLAB"
 SLAB_VERSION = 1
+_SLAB_HEAD = struct.Struct("<4sHIIB")   # magic, version, c, n, precision code
 
 _CODEC_BLOCK_ELEMENTS = 2**20   # row-block budget of the codec passes (8 MB of float64)
 
@@ -179,11 +180,10 @@ class LabelFileError(ValueError):
 
 
 def write_slab(labels: SoftLabelMatrix, path) -> None:
-    dtype = np.dtype(_PRECISION_DTYPES[labels.precision_tag]).newbyteorder("<")
+    dtype = _PRECISION_DTYPES[labels.precision_tag].newbyteorder("<")
     payload = labels.data.astype(dtype)
-    header = SLAB_MAGIC + struct.pack(
-        "<HIIB", SLAB_VERSION, labels.c, labels.n, _PRECISION_CODES[labels.precision_tag]
-    )
+    header = _SLAB_HEAD.pack(SLAB_MAGIC, SLAB_VERSION, labels.c, labels.n,
+                             _PRECISION_CODES[labels.precision_tag])
     with open(path, "wb") as f:
         f.write(header)
         f.write(payload)
@@ -194,19 +194,19 @@ def read_slab(path) -> SoftLabelMatrix:
         blob = f.read()
     if blob[:4] != SLAB_MAGIC:
         raise LabelFileError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 15:
+    if len(blob) < _SLAB_HEAD.size:
         raise LabelFileError(f"{path}: truncated header ({len(blob)} bytes)")
-    version, c, n, prec_code = struct.unpack_from("<HIIB", blob, 4)
+    _, version, c, n, prec_code = _SLAB_HEAD.unpack_from(blob)
     if version != SLAB_VERSION:
         raise LabelFileError(f"{path}: unsupported SLAB version {version}")
     if prec_code not in _CODE_PRECISIONS:
         raise LabelFileError(f"{path}: unknown precision code {prec_code}")
     tag = _CODE_PRECISIONS[prec_code]
-    dtype = np.dtype(_PRECISION_DTYPES[tag]).newbyteorder("<")
-    expected = 15 + n * c * dtype.itemsize
+    dtype = _PRECISION_DTYPES[tag].newbyteorder("<")
+    expected = _SLAB_HEAD.size + n * c * dtype.itemsize
     if len(blob) != expected:
         raise LabelFileError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    data = np.frombuffer(blob, dtype=dtype, offset=15).reshape(n, c).astype(np.float64)
+    data = np.frombuffer(blob, dtype=dtype, offset=_SLAB_HEAD.size).reshape(n, c).astype(np.float64)
     # Rounding each entry to ``dtype`` moves a row sum by at most eps/2 plus
     # half a subnormal step an entry. Twice that is renormalized away, in
     # place; a row off by more is rejected, as a CSV row would be.
