@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labels import _CODEC_BLOCK_ELEMENTS, _finite_positive, _is_count, _row_blocks
-from .vqae import GRADIENT_MODES, RENORM_FLOOR, ModelValidationError, VqaeModel, decompress
+from .vqae import GRADIENT_MODES, RENORM_FLOOR, ModelValidationError, VqaeModel, _check_codes, decompress
 
 SLAR_MAGIC = b"SLAR"
 SLAR_VERSION = 1
@@ -112,8 +112,8 @@ def _vqae_container(model: VqaeModel, epsilon: float, arrays: dict, packed: dict
 
 
 def vqae_archive(model: VqaeModel, indices: np.ndarray, epsilon: float = RENORM_FLOOR) -> CompressedArchive:
-    """Bundle what the decoder side needs: indices, codebook, and decoder."""
-    indices = np.asarray(indices)
+    """Bundle what the decoder side needs: indices (checked as it checks them), codebook, decoder."""
+    indices = _check_codes(indices, model)
     return _vqae_container(model, epsilon, {"codebook": model.codebook, "decoder": model.decoder},
                            {"indices": (indices, _index_bits(model.k))}, n=int(indices.shape[0]))
 

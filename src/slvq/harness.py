@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,7 +232,6 @@ class DistillReport:
     mean_kl: float
     storage_ratio: float
     codec_name: str = ""
-    extra: dict = field(default_factory=dict)
 
     @property
     def retention(self) -> float:
@@ -246,7 +245,6 @@ class DistillReport:
             "retention": self.retention,
             "mean_kl": self.mean_kl,
             "storage_ratio": self.storage_ratio,
-            **self.extra,
         }
 
     def to_json(self) -> str:

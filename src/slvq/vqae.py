@@ -158,7 +158,7 @@ def quantize_latent(h, model: VqaeModel):
     """
     arr = np.asarray(h, dtype=np.float64)
     indices = _nearest_codes(_as_rows(arr), model)
-    h_hat = model.codebook[indices].reshape(indices.shape[0], model.d_h)
+    h_hat = _code_rows(indices, model)
     if arr.ndim == 1:
         return indices[0], h_hat[0]
     return indices, h_hat
@@ -205,24 +205,34 @@ def _nearest_codes(rows: np.ndarray, model: VqaeModel) -> np.ndarray:
     return indices.reshape(n, model.m)
 
 
-def decode(h_hat, model: VqaeModel) -> np.ndarray:
-    """Project quantized latents back to label space: y_hat = h_hat D."""
+def _check_codes(indices, model: VqaeModel) -> np.ndarray:
+    """``indices`` as an array, checked to be an n x m matrix of codes in [0, k)."""
+    indices = np.asarray(indices)
+    if indices.ndim != 2 or indices.shape[1] != model.m:
+        raise ModelValidationError(f"index matrix must be n x {model.m}, got {indices.shape}")
+    if indices.size and (indices.min() < 0 or indices.max() >= model.k):
+        raise ModelValidationError(f"code index out of range [0, {model.k})")
+    return indices
+
+
+def _code_rows(indices: np.ndarray, model: VqaeModel, out: np.ndarray | None = None) -> np.ndarray:
+    """The n x d_h latents of n x m in-range codes, gathered into ``out`` (n x m x d_c) if given."""
+    return np.take(model.codebook, indices, axis=0, out=out, mode="clip").reshape(-1, model.d_h)
+
+
+def decode(h_hat, model: VqaeModel, out: np.ndarray | None = None) -> np.ndarray:
+    """Project quantized latents back to label space: y_hat = h_hat D (into ``out`` if given)."""
     arr = np.asarray(h_hat, dtype=np.float64)
     if arr.shape[-1] != model.d_h:
         raise ModelValidationError(f"expected latent dim {model.d_h}, got {arr.shape[-1]}")
-    return arr @ model.decoder
+    return np.matmul(arr, model.decoder, out=out)
 
 
-def renormalize(y_hat, epsilon: float = RENORM_FLOOR) -> np.ndarray:
+def renormalize(y_hat, epsilon: float = RENORM_FLOOR, out: np.ndarray | None = None) -> np.ndarray:
     """Clamp entries to at least epsilon and rescale rows to sum to one.
 
-    Works in its float64 output buffer; the input is never changed.
+    Works in ``out``, which may be ``y_hat``, or else a new float64 buffer.
     """
-    return _renormalize(y_hat, epsilon, None)
-
-
-def _renormalize(y_hat, epsilon: float, out: np.ndarray | None) -> np.ndarray:
-    """``renormalize`` into ``out`` (a new buffer if None; may be ``y_hat``)."""
     if not _finite_positive(epsilon):
         raise ModelValidationError(f"epsilon must be finite and positive, got {epsilon}")
     out = np.maximum(y_hat, epsilon, out=out, dtype=np.float64)
@@ -250,12 +260,10 @@ def _cache_loss_grads_aux(batch, model: VqaeModel, config: TrainConfig):
     Y = _as_rows(batch)
     if Y.shape[0] == 0:
         raise ModelValidationError("batch must be nonempty")
-    if Y.shape[1] != model.c:
-        raise ModelValidationError(f"expected {model.c} classes, got {Y.shape[1]}")
     n = Y.shape[0]
-    H = Y @ _encoder(model)
+    H = encode(Y, model)
     indices, H_hat = quantize_latent(H, model)
-    Y_hat = H_hat @ model.decoder
+    Y_hat = decode(H_hat, model)
 
     R = Y_hat - Y
     l_rec = float(np.einsum("nc,nc->", R, R)) / n
@@ -388,7 +396,7 @@ def refit_decoder(labels: SoftLabelMatrix, model: VqaeModel) -> VqaeModel:
     ordinary least-squares problem in D; solving it directly removes any
     residual decoder suboptimality left by stochastic training.
     """
-    H_hat = model.codebook[compress(labels, model)].reshape(labels.n, model.d_h)
+    H_hat = _code_rows(compress(labels, model), model)
     D_star, *_ = np.linalg.lstsq(H_hat, labels.data, rcond=None)
     return VqaeModel(model.encoder, D_star, model.codebook)
 
@@ -406,27 +414,21 @@ def compress(labels: SoftLabelMatrix | np.ndarray, model: VqaeModel) -> np.ndarr
 
 def _decode_codes(indices, model: VqaeModel) -> np.ndarray:
     """The one decode path for VQ codes: check, look up, decode (no renormalize)."""
-    indices = np.asarray(indices)
-    if indices.ndim != 2 or indices.shape[1] != model.m:
-        raise ModelValidationError(f"index matrix must be n x {model.m}, got {indices.shape}")
-    if indices.size and (indices.min() < 0 or indices.max() >= model.k):
-        raise ModelValidationError(f"code index out of range [0, {model.k})")
+    indices = _check_codes(indices, model)
     blocks = _row_blocks(indices.shape[0], model.d_h, _CODEC_BLOCK_ELEMENTS)
     # One gather buffer serves every block. It is made before the output: made
     # after it, a loop that kept every output page-faulted a fresh buffer per call.
     h_hat = np.empty((blocks[-1].stop - blocks[-1].start, model.m, model.d_c))
     out = np.empty((indices.shape[0], model.c))
     for s in blocks:
-        rows = h_hat[:s.stop - s.start]   # indices are checked, so "clip" never clips
-        np.take(model.codebook, indices[s], axis=0, out=rows, mode="clip")
-        np.matmul(rows.reshape(len(rows), model.d_h), model.decoder, out=out[s])
+        decode(_code_rows(indices[s], model, out=h_hat[:s.stop - s.start]), model, out=out[s])
     return out
 
 
 def decompress(indices: np.ndarray, model: VqaeModel, epsilon: float = RENORM_FLOOR) -> SoftLabelMatrix:
     """Reconstruct soft labels from code indices: lookup, decode, renormalize in place."""
     decoded = _decode_codes(indices, model)
-    return SoftLabelMatrix(_renormalize(decoded, epsilon, decoded))
+    return SoftLabelMatrix(renormalize(decoded, epsilon, out=decoded))
 
 
 # ---------------------------------------------------------------------------
