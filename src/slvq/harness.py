@@ -7,6 +7,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,15 +255,75 @@ class DistillReport:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
+# The twin students train in two processes on Linux. Elsewhere (no fork on
+# Windows, fork unsafe with macOS system frameworks) one after the other.
+_FORK_TWIN = sys.platform.startswith("linux")
+
+
+def _twin_students(task: SyntheticTask, labels: SoftLabelMatrix,
+                   reconstructed: SoftLabelMatrix, *args) -> tuple[MlpModel, MlpModel]:
+    """The raw-label student, trained here, and the reconstructed-label one,
+    trained at the same time in a forked child. The child inherits the inputs
+    (nothing is pickled on the way in), pickles (ok, student or exception)
+    into a pipe and leaves through ``os._exit``. It is reaped on every path,
+    and one that exits without a result raises TrainingError."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = (True, train_student_kl(task, reconstructed, *args))
+            except Exception as err:
+                result = (False, err)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            raw_student = train_student_kl(task, labels, *args)
+            payload = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = 0
+    finally:
+        if pid:   # this process's student failed, so the twin is not needed
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status != 0:
+        raise TrainingError(f"the reconstructed-label student exited with status {status} and no result")
+    ok, result = pickle.loads(payload)
+    if not ok:
+        raise result
+    return raw_student, result
+
+
 def compare(task: SyntheticTask, labels: SoftLabelMatrix, reconstructed: SoftLabelMatrix,
             storage_ratio: float, tau: float = 1.0, hidden: int = 32,
             epochs: int = 100, batch_size: int = 64, seed: int = 0,
             codec_name: str = "") -> DistillReport:
-    """Train twin students (identical seed) on raw vs reconstructed labels."""
+    """Train twin students (identical seed) on raw vs reconstructed labels.
+
+    The twins train concurrently: on Linux the reconstructed-label student is
+    trained in a forked child while this process trains the raw-label one;
+    elsewhere they train one after the other. Both ways give the same bits.
+    """
     if reconstructed.data.shape != labels.data.shape:
         raise ValueError("reconstructed labels must match the raw label shape")
-    raw_student = train_student_kl(task, labels, tau, hidden, epochs, batch_size, seed)
-    cmp_student = train_student_kl(task, reconstructed, tau, hidden, epochs, batch_size, seed)
+    args = (tau, hidden, epochs, batch_size, seed)
+    if _FORK_TWIN:
+        raw_student, cmp_student = _twin_students(task, labels, reconstructed, *args)
+    else:
+        raw_student = train_student_kl(task, labels, *args)
+        cmp_student = train_student_kl(task, reconstructed, *args)
     return DistillReport(
         raw_accuracy=raw_student.accuracy(task.x_test, task.y_test),
         compressed_accuracy=cmp_student.accuracy(task.x_test, task.y_test),

@@ -261,6 +261,16 @@ class TestMalformedArchives:
         with pytest.raises(ArchiveError, match="disagrees with 10 packed index rows"):
             decompress_vqae_archive(read_archive(path))
 
+    def test_zero_row_archive_raises_archive_error(self, rng, tmp_path):
+        model = f32_model(rng)   # k = 5, m = 2
+        archive = vqae_archive(model, compress(random_labels(rng, 10, 6), model))
+        header = dict(archive.header, n=0)
+        path = tmp_path / "empty.slar"
+        write_archive(CompressedArchive(CODEC_VQAE, header, archive.arrays,
+                                        {"indices": (np.zeros((0, 2), dtype=np.int64), 3)}), path)
+        with pytest.raises(ArchiveError, match="n >= 1"):
+            decompress_vqae_archive(read_archive(path))
+
 
 class TestModelFile:
     def test_roundtrip(self, rng, tmp_path):

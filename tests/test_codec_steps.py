@@ -77,7 +77,8 @@ class TestOneImplementationPerStep:
 
 class TestWriterChecksCodes:
     @pytest.mark.parametrize("indices", [np.full((2, 2), 6), np.zeros((2, 3), dtype=np.int64),
-                                         np.full((2, 2), -1), np.zeros(2, dtype=np.int64)])
+                                         np.full((2, 2), -1), np.zeros(2, dtype=np.int64),
+                                         np.zeros((0, 2), dtype=np.int64)])
     def test_writer_rejects_what_the_decoder_rejects(self, rng, tmp_path, indices):
         model = f32_model(rng)   # k = 5, m = 2
         assert (model.k, model.m) == (5, 2)

@@ -1,8 +1,10 @@
 import csv
+import os
 
 import numpy as np
 import pytest
 
+from slvq import harness
 from slvq.harness import (
     DistillReport,
     MlpModel,
@@ -19,6 +21,7 @@ from slvq.harness import (
 )
 from slvq.labels import SoftLabelMatrix, stable_softmax
 from slvq.optim import AdamW
+from slvq.vqae import ModelValidationError, TrainingError
 
 
 class TestMakeTask:
@@ -166,3 +169,81 @@ class TestMetricsAndCompare:
         assert rows[0] == ["codec", "storage_ratio", "retention"]
         assert rows[1][0] == "a"
         assert float(rows[2][2]) == pytest.approx(0.5)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTwinStudents:
+    """compare trains the reconstructed-label student in a forked child on Linux."""
+
+    @pytest.fixture
+    def twin_inputs(self):
+        task = make_task(seed=0, d=6, c=4, n_per_class=8, spread=0.5)
+        teacher = train_teacher(task, hidden=16, epochs=30, seed=0)
+        labels = cache_teacher_labels(teacher, task, views=2, jitter=0.1, seed=0)
+        mixed = 0.7 * labels.data + 0.3 * np.random.default_rng(5).dirichlet(np.ones(4), size=labels.n)
+        return task, labels, SoftLabelMatrix(mixed)
+
+    def fail_on(self, monkeypatch, target, fail):
+        train = harness.train_student_kl
+
+        def patched(task, labels, *args):
+            if labels is target:
+                fail()
+            return train(task, labels, *args)
+        monkeypatch.setattr(harness, "train_student_kl", patched)
+
+    def test_forked_report_equals_sequential_and_direct(self, twin_inputs, monkeypatch):
+        task, labels, reconstructed = twin_inputs
+        twin = compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20, seed=3)
+        assert_no_child()
+        monkeypatch.setattr(harness, "_FORK_TWIN", False)
+        sequential = compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20, seed=3)
+        assert twin == sequential
+        raw, cmp = (train_student_kl(task, y, epochs=20, seed=3) for y in (labels, reconstructed))
+        assert (twin.raw_accuracy, twin.compressed_accuracy) == (
+            raw.accuracy(task.x_test, task.y_test), cmp.accuracy(task.x_test, task.y_test))
+        assert twin.raw_accuracy != twin.compressed_accuracy   # a swapped twin would show
+
+    @pytest.mark.skipif(not harness._FORK_TWIN, reason="the twins fork only on Linux")
+    def test_forked_students_are_the_same_bits(self, twin_inputs):
+        task, labels, reconstructed = twin_inputs
+        args = (1.0, 16, 20, 64, 3)
+        twins = harness._twin_students(task, labels, reconstructed, *args)
+        assert_no_child()
+        for twin, y in zip(twins, (labels, reconstructed)):
+            direct = train_student_kl(task, y, *args)
+            for name, value in direct.params().items():
+                assert twin.params()[name].tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("error", [TrainingError, ModelValidationError])
+    def test_error_in_forked_twin_reaches_caller_with_its_type(self, twin_inputs, monkeypatch, error):
+        task, labels, reconstructed = twin_inputs
+
+        def fail():
+            raise error("twin diverged")
+        self.fail_on(monkeypatch, reconstructed, fail)
+        with pytest.raises(error, match="twin diverged"):
+            compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20)
+        assert_no_child()
+
+    def test_error_in_callers_student_reaches_caller(self, twin_inputs, monkeypatch):
+        task, labels, reconstructed = twin_inputs
+
+        def fail():
+            raise TrainingError("raw student diverged")
+        self.fail_on(monkeypatch, labels, fail)
+        with pytest.raises(TrainingError, match="raw student diverged"):
+            compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20)
+        assert_no_child()
+
+    @pytest.mark.skipif(not harness._FORK_TWIN, reason="the twins fork only on Linux")
+    def test_twin_that_dies_without_a_result_is_a_training_error(self, twin_inputs, monkeypatch):
+        task, labels, reconstructed = twin_inputs
+        self.fail_on(monkeypatch, reconstructed, lambda: os._exit(5))
+        with pytest.raises(TrainingError, match="exited with status 5"):
+            compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20)
+        assert_no_child()
