@@ -46,10 +46,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit
 
 
+def _label_io(path):
+    """A label file's (reader, writer): CSV for a ``.csv`` path, SLAB otherwise."""
+    return ((lb.read_labels_csv, lb.write_labels_csv) if str(path).endswith(".csv")
+            else (lb.read_slab, lb.write_slab))
+
+
 def _load_labels(path):
-    if str(path).endswith(".csv"):
-        return lb.read_labels_csv(path)
-    return lb.read_slab(path)
+    return _label_io(path)[0](path)
 
 
 def _build_parser():
@@ -63,7 +67,7 @@ def _build_parser():
 
     p = sub.add_parser("fit", help="train a codec on a label file")
     common(p)
-    p.add_argument("--labels", required=True, help="SLAB or CSV label file")
+    p.add_argument("--labels", required=True, help="label file (CSV if .csv, else SLAB)")
     p.add_argument("--out", required=True, help="output model file (.slvq)")
     p.add_argument("--d-h", type=int, required=True)
     p.add_argument("--d-c", type=int, required=True)
@@ -86,7 +90,7 @@ def _build_parser():
     p = sub.add_parser("decompress", help="reconstruct labels from an archive")
     common(p)
     p.add_argument("--archive", required=True)
-    p.add_argument("--out", required=True, help="output SLAB label file")
+    p.add_argument("--out", required=True, help="output label file (CSV if .csv, else SLAB)")
 
     p = sub.add_parser("budget", help="storage accounting for a budget spec")
     common(p)
@@ -172,7 +176,7 @@ def _cmd_compress(args):
 def _cmd_decompress(args):
     arch = ar.read_archive(args.archive)
     labels = ar.decompress_vqae_archive(arch)
-    lb.write_slab(labels, args.out)
+    _label_io(args.out)[1](labels, args.out)
     return ({"labels": args.out, "n": labels.n, "c": labels.c},
             f"wrote {args.out} ({labels.n} x {labels.c} labels)")
 

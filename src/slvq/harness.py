@@ -263,17 +263,20 @@ _FORK_TWIN = sys.platform.startswith("linux")
 def _twin_students(task: SyntheticTask, labels: SoftLabelMatrix,
                    reconstructed: SoftLabelMatrix, *args) -> tuple[MlpModel, MlpModel]:
     """The raw-label student, trained here, and the reconstructed-label one,
-    trained at the same time in a forked child. The child inherits the inputs
-    (nothing is pickled on the way in), pickles (ok, student or exception)
-    into a pipe and leaves through ``os._exit``. It is reaped on every path,
-    and one that exits without a result raises TrainingError."""
+    trained at the same time in a forked child, or here after it if there is
+    no fork (``_FORK_TWIN`` off, or ``os.fork`` fails). The child inherits the
+    inputs (nothing is pickled on the way in), pickles (ok, student or
+    exception) into a pipe and leaves through ``os._exit``. It is reaped on
+    every path, and one that exits without a result raises TrainingError."""
     read_fd, write_fd = os.pipe()
     try:
-        pid = os.fork()
-    except OSError:
+        pid = os.fork() if _FORK_TWIN else -1
+    except OSError:   # e.g. EAGAIN under a process limit
+        pid = -1
+    if pid < 0:
         os.close(read_fd)
         os.close(write_fd)
-        raise
+        return train_student_kl(task, labels, *args), train_student_kl(task, reconstructed, *args)
     if pid == 0:
         status = 1
         try:
@@ -312,21 +315,16 @@ def compare(task: SyntheticTask, labels: SoftLabelMatrix, reconstructed: SoftLab
             codec_name: str = "") -> DistillReport:
     """Train twin students (identical seed) on raw vs reconstructed labels.
 
-    The twins train concurrently: on Linux the reconstructed-label student is
-    trained in a forked child while this process trains the raw-label one;
-    elsewhere they train one after the other. Both ways give the same bits.
+    On Linux the reconstructed-label student trains in a forked child while
+    this process trains the raw-label one; elsewhere, or if the fork fails,
+    they train one after the other. Every way gives the same bits.
     """
     if reconstructed.data.shape != labels.data.shape:
         raise ValueError("reconstructed labels must match the raw label shape")
-    args = (tau, hidden, epochs, batch_size, seed)
-    if _FORK_TWIN:
-        raw_student, cmp_student = _twin_students(task, labels, reconstructed, *args)
-    else:
-        raw_student = train_student_kl(task, labels, *args)
-        cmp_student = train_student_kl(task, reconstructed, *args)
+    raw, cmp = _twin_students(task, labels, reconstructed, tau, hidden, epochs, batch_size, seed)
     return DistillReport(
-        raw_accuracy=raw_student.accuracy(task.x_test, task.y_test),
-        compressed_accuracy=cmp_student.accuracy(task.x_test, task.y_test),
+        raw_accuracy=raw.accuracy(task.x_test, task.y_test),
+        compressed_accuracy=cmp.accuracy(task.x_test, task.y_test),
         mean_kl=mean_kl(labels, reconstructed),
         storage_ratio=storage_ratio,
         codec_name=codec_name,
@@ -334,9 +332,10 @@ def compare(task: SyntheticTask, labels: SoftLabelMatrix, reconstructed: SoftLab
 
 
 def write_retention_csv(reports, path) -> None:
-    """CSV of (codec, ratio, retention) pairs for ratio-vs-retention curves."""
-    with open(path, "w", newline="") as f:
+    """Append (codec, ratio, retention) rows to a CSV; a new or empty file gets the header."""
+    with open(path, "a", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["codec", "storage_ratio", "retention"])
+        if f.tell() == 0:
+            writer.writerow(["codec", "storage_ratio", "retention"])
         for report in reports:
             writer.writerow([report.codec_name, report.storage_ratio, report.retention])

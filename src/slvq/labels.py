@@ -219,23 +219,24 @@ def read_slab(path) -> SoftLabelMatrix:
 
 
 def read_labels_csv(path, precision_tag: str = "half") -> SoftLabelMatrix:
-    """Read labels from CSV: a header row of class ids, one label per line."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LabelFileError(f"{path}: empty CSV") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise LabelFileError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as err:
-                raise LabelFileError(f"{path}:{lineno}: {err}") from None
+    """Read labels from UTF-8 CSV: a header row of class ids, one label per line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            if (header := next(reader, None)) is None:
+                raise LabelFileError(f"{path}: empty CSV")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise LabelFileError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as err:
+                    raise LabelFileError(f"{path}:{lineno}: {err}") from None
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise LabelFileError(f"{path}: {err}") from None
     if not rows:
         raise LabelFileError(f"{path}: no label rows")
     return SoftLabelMatrix(np.array(rows, dtype=np.float64), precision_tag=precision_tag)

@@ -188,13 +188,9 @@ def _nearest_codes(rows: np.ndarray, model: VqaeModel) -> np.ndarray:
     np.negative(model.codebook, out=table_t[:, :d_c])
     table_t[:, d_c] = 0.5 * np.einsum("kd,kd->k", model.codebook, model.codebook)
     indices = np.empty(n * model.m, dtype=np.int64)
-    # the scores and the padded segments share one buffer of one block budget,
-    # the scores BLAS writes at its aligned start
-    blocks = _row_blocks(segs.shape[0], k + d_c + 1, _CODEC_BLOCK_ELEMENTS)
+    blocks = _row_blocks(segs.shape[0], k + d_c + 1, _CODEC_BLOCK_ELEMENTS)   # scores + padded segments
     block_rows = blocks[-1].stop - blocks[-1].start
-    buf = np.empty(block_rows * (k + d_c + 1))
-    scores_buf = buf[:block_rows * k].reshape(block_rows, k)
-    padded_buf = buf[block_rows * k:].reshape(block_rows, d_c + 1)
+    scores_buf, padded_buf = np.empty((block_rows, k)), np.empty((block_rows, d_c + 1))
     padded_buf[:, d_c] = 1.0
     for s in blocks:
         rows_s = s.stop - s.start

@@ -40,10 +40,10 @@ def f32_model(rng, c=6, d_h=8, d_c=4, k=5):
     )
 
 
-def crafted_slar(header_blob: bytes, tail: bytes = b"\x00\x00\x00\x00") -> bytes:
+def crafted_slar(header_blob: bytes, tail: bytes = b"\x00\x00\x00\x00", version: int = SLAR_VERSION) -> bytes:
     """A CRC-valid SLAR file with raw header bytes; the default tail declares
     no arrays and no packed sections."""
-    body = (SLAR_MAGIC + struct.pack("<HBI", SLAR_VERSION, CODEC_VQAE, len(header_blob))
+    body = (SLAR_MAGIC + struct.pack("<HBI", version, CODEC_VQAE, len(header_blob))
             + header_blob + tail)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -72,6 +72,8 @@ MALFORMED_BODIES = {
     "array count past end": crafted_slar(b"{}", b"\x05\x00"),
     "array data past end": crafted_slar(
         b"{}", struct.pack("<HH", 1, 1) + b"a" + struct.pack("<II", 1000, 1000)),
+    "unsupported version": crafted_slar(b"{}", version=SLAR_VERSION + 1),
+    "trailing bytes": crafted_slar(b"{}", b"\x00\x00\x00\x00\x00"),
 }
 
 HEADER_EDITS = {

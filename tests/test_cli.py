@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 import warnings
@@ -5,9 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from slvq.archive import CODEC_VQAE, CompressedArchive, _encode_archive, vqae_archive, write_model
+from slvq.archive import (
+    CODEC_VQAE,
+    CompressedArchive,
+    _encode_archive,
+    decompress_vqae_archive,
+    read_archive,
+    vqae_archive,
+    write_model,
+)
 from slvq.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from slvq.labels import SoftLabelMatrix, read_slab, write_slab
+from slvq.labels import SoftLabelMatrix, read_labels_csv, read_slab, write_slab
 
 from conftest import random_labels
 from test_archive import (
@@ -204,6 +213,14 @@ class TestErrorPaths:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "row 1" in err
 
+    def test_csv_that_is_not_utf8(self, capsys, tmp_path, label_file):
+        bad = tmp_path / "back.csv"
+        bad.write_bytes(label_file.read_bytes())   # SLAB bytes under a .csv name
+        code, out, err = run(capsys, "fit", "--labels", str(bad), "--out", str(tmp_path / "m.slvq"),
+                             "--d-h", "4", "--d-c", "2", "--k", "4")
+        assert code == EXIT_DATA and out == ""
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
     def test_csv_non_numeric_cell(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,1\n0.5,abc\n")
@@ -369,3 +386,30 @@ class TestEvalBatchAndBudgetWarnings:
         monkeypatch.setattr("slvq.budget.raw_label_bytes", warn)
         with pytest.warns(UserWarning, match="some other warning"):
             assert run(capsys, "budget", "--ipc", "1", "--classes", "2", "--epochs", "1")[0] == EXIT_OK
+
+
+class TestLabelAndCurveFiles:
+    def test_decompress_writes_csv_for_a_csv_path(self, capsys, label_file, tmp_path):
+        model, archive, back = tmp_path / "m.slvq", tmp_path / "a.slar", tmp_path / "back.csv"
+        assert run(capsys, "fit", "--labels", str(label_file), "--out", str(model), "--d-h", "8",
+                   "--d-c", "4", "--k", "8", "--steps", "20")[0] == EXIT_OK
+        assert run(capsys, "compress", "--labels", str(label_file), "--model", str(model),
+                   "--out", str(archive))[0] == EXIT_OK
+        assert run(capsys, "decompress", "--archive", str(archive), "--out", str(back))[0] == EXIT_OK
+        expected = decompress_vqae_archive(read_archive(archive)).data
+        assert read_labels_csv(back).data.tobytes() == expected.tobytes()
+        assert run(capsys, "fit", "--labels", str(back), "--out", str(tmp_path / "m2.slvq"),
+                   "--d-h", "8", "--d-c", "4", "--k", "8", "--steps", "5")[0] == EXIT_OK
+        assert run(capsys, "compress", "--labels", str(back), "--model", str(model),
+                   "--out", str(tmp_path / "a2.slar"))[0] == EXIT_OK
+
+    def test_eval_csv_appends(self, capsys, tmp_path):
+        curve = tmp_path / "curve.csv"
+        for _ in range(2):
+            code, _, err = run(capsys, "eval", "--classes", "4", "--n-per-class", "2", "--views", "1",
+                               "--steps", "5", "--student-epochs", "1", "--csv", str(curve))
+            assert code == EXIT_OK and err == ""
+        with open(curve, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["codec", "storage_ratio", "retention"]
+        assert len(rows) == 3 and rows[1] == rows[2] and rows[1][0] == "vqae"

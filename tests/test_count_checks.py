@@ -57,6 +57,7 @@ BAD_CALLS = {
     "pca_fit k_pc 0": (lambda: baselines.pca_fit(labels8(), 0), ModelValidationError),
     "scalar_quant_fit bits True": (lambda: baselines.scalar_quant_fit(labels8(), True),
                                    ModelValidationError),
+    "ScalarQuantCodec no levels": (lambda: baselines.ScalarQuantCodec(np.array([])), ModelValidationError),
     "fit d_h 4.0": (lambda: vqae.fit(labels8(), 4.0, 2, 4, vqae.TrainConfig(batch_size=8)),
                     ModelValidationError),
     "fit k True": (lambda: vqae.fit(labels8(), 4, 2, True, vqae.TrainConfig(batch_size=8)),

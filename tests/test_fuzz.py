@@ -2,7 +2,7 @@
 argument fuzzing of ``slvq fit``, ``eval``, ``solve`` and ``budget``.
 
 Model files and label archives are CRC-checked SLAR containers, so every
-altered one must be rejected with exit 2. SLAB label files carry no
+altered one must be rejected with exit 2. SLAB and CSV label files carry no
 checksum: an altered one may still be valid, but it must never escape as a
 traceback.
 """
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from slvq.archive import write_model
 from slvq.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from slvq.labels import write_slab
+from slvq.labels import write_labels_csv, write_slab
 
 from conftest import random_labels
 from test_archive import f32_model
@@ -26,12 +26,14 @@ from test_archive import f32_model
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """Pristine label file, model file and label archive, keyed by kind."""
+    """Pristine label files (SLAB and CSV), model file and label archive, keyed by kind."""
     root = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(99)
-    paths = {"labels": root / "labels.slab", "model": root / "model.slvq",
-             "archive": root / "labels.slar"}
-    write_slab(random_labels(rng, 8, 10), paths["labels"])
+    paths = {"labels": root / "labels.slab", "csv labels": root / "labels.csv",
+             "model": root / "model.slvq", "archive": root / "labels.slar"}
+    labels = random_labels(rng, 8, 10)
+    write_slab(labels, paths["labels"])
+    write_labels_csv(labels, paths["csv labels"])
     write_model(f32_model(rng, c=10, d_h=4, d_c=2, k=4), paths["model"])
     assert cli(compress_argv(paths, paths["archive"]))[0] == EXIT_OK
     return {kind: (path, path.read_bytes()) for kind, path in paths.items()}
@@ -66,6 +68,8 @@ def run_altered(files, kind, data):
     if kind == "archive":
         return cli(["decompress", "--archive", paths["archive"],
                     "--out", path.with_name("out.slab")])
+    if kind == "csv labels":
+        paths["labels"] = paths[kind]
     return cli(compress_argv(paths, path.with_name("out.slar")))
 
 
@@ -81,9 +85,10 @@ def test_altered_container_exits_2(files, kind, data):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_altered_label_file_exits_0_or_2(files, data):
-    code, err = run_altered(files, "labels", data)
-    assert code in (EXIT_OK, EXIT_DATA)
-    assert code == EXIT_OK or err.startswith("error:")
+    for kind in ("labels", "csv labels"):
+        code, err = run_altered(files, kind, data)
+        assert code in (EXIT_OK, EXIT_DATA)
+        assert code == EXIT_OK or err.startswith("error:")
 
 
 @given(d_h=st.integers(-2, 9), d_c=st.integers(-2, 9), k=st.integers(-2, 9),

@@ -1,4 +1,5 @@
 import csv
+import errno
 import os
 
 import numpy as np
@@ -177,7 +178,8 @@ def assert_no_child():
 
 
 class TestTwinStudents:
-    """compare trains the reconstructed-label student in a forked child on Linux."""
+    """compare trains the reconstructed-label student in a forked child on
+    Linux, or in this process when the fork fails."""
 
     @pytest.fixture
     def twin_inputs(self):
@@ -238,6 +240,19 @@ class TestTwinStudents:
         self.fail_on(monkeypatch, labels, fail)
         with pytest.raises(TrainingError, match="raw student diverged"):
             compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20)
+        assert_no_child()
+
+    @pytest.mark.skipif(not harness._FORK_TWIN, reason="the twins fork only on Linux")
+    def test_failed_fork_trains_both_here(self, twin_inputs, monkeypatch):
+        task, labels, reconstructed = twin_inputs
+        forked = compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20, seed=3)
+        open_fds = len(os.listdir("/proc/self/fd"))
+
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        monkeypatch.setattr(os, "fork", fork)
+        assert compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20, seed=3) == forked
+        assert len(os.listdir("/proc/self/fd")) == open_fds   # both pipe ends closed
         assert_no_child()
 
     @pytest.mark.skipif(not harness._FORK_TWIN, reason="the twins fork only on Linux")

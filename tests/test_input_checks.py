@@ -3,6 +3,7 @@ defaults and the range check on input numbers, and the exit-code contract of
 the commands that read them."""
 
 import inspect
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from slvq.harness import cache_teacher_labels, init_mlp, make_task, train_mlp_kl
 from slvq.labels import (
     LabelValidationError,
     LogitMatrix,
+    SoftLabelMatrix,
     _finite_positive,
     stable_softmax,
     write_slab,
@@ -114,6 +116,39 @@ class TestOtherRanges:
     def test_llm_ratio_rejects_non_finite_archive(self, size):
         with pytest.raises(BudgetError, match="archive size"):
             llm_compression_ratio(10, 10, size)
+
+
+def tiny_model():
+    """c = 3, d_h = 4, d_c = 2, k = 2."""
+    return vqae.VqaeModel(np.ones((3, 4)), np.ones((4, 3)), np.ones((2, 2)))
+
+
+# (call, error, message): each call breaks one structural rule of its input
+STRUCTURE_CHECKS = {
+    "pack_indices 1-D": (lambda: archive.pack_indices(np.zeros(4, dtype=np.int64), 2),
+                         archive.ArchiveError, "index matrix must be 2-D"),
+    "write_model gradient mode": (lambda: archive.write_model(tiny_model(), os.devnull, "sideways"),
+                                  vqae.ModelValidationError, "cannot write gradient mode 'sideways'"),
+    "TrainConfig gradient mode": (lambda: vqae.TrainConfig(gradient_mode="sideways"),
+                                  vqae.ModelValidationError, "unknown gradient mode 'sideways'"),
+    "decode latent width": (lambda: vqae.decode(np.zeros((2, 3)), tiny_model()),
+                            vqae.ModelValidationError, "expected latent dim 4, got 3"),
+    "topk_scatter shapes": (lambda: vqae.topk_scatter(np.ones((2, 2)), np.zeros((2, 3), dtype=np.int64), 4),
+                            vqae.ModelValidationError, "does not match values"),
+    "VqaeModel 1-D codebook": (lambda: vqae.VqaeModel(np.ones((3, 4)), np.ones((4, 3)), np.ones(2)),
+                               vqae.ModelValidationError, "codebook must be 2-D"),
+    "SoftLabelMatrix 1-D": (lambda: SoftLabelMatrix(np.array([0.5, 0.5])),
+                            LabelValidationError, "label data must be 2-D"),
+    "LogitMatrix 3-D": (lambda: LogitMatrix(np.zeros((1, 2, 2))),
+                        LabelValidationError, "logit data must be 2-D"),
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURE_CHECKS)
+def test_structure_check_rejects(name):
+    call, error, message = STRUCTURE_CHECKS[name]
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestHarnessRanges:

@@ -173,6 +173,15 @@ class TestSlabIO:
         with pytest.raises(LabelFileError):
             read_slab(path)
 
+    def test_unknown_precision_code(self, rng, tmp_path):
+        path = tmp_path / "prec.slab"
+        write_slab(random_labels(rng, 2, 3), path)
+        blob = bytearray(path.read_bytes())
+        blob[14] = 7   # magic 4, version 2, c 4, n 4, then the precision code
+        path.write_bytes(bytes(blob))
+        with pytest.raises(LabelFileError, match="unknown precision code 7"):
+            read_slab(path)
+
 
 class TestCsvIO:
     def test_roundtrip(self, rng, tmp_path):
@@ -198,6 +207,21 @@ class TestCsvIO:
         path = tmp_path / "ragged.csv"
         path.write_text("0,1\n0.5,0.5\n0.5\n")
         with pytest.raises(LabelFileError):
+            read_labels_csv(path)
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("0,1\n0.25,0.75\n\n0.5,0.5\n")
+        np.testing.assert_array_equal(read_labels_csv(path).data, [[0.25, 0.75], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"0,1\n0.5,0.5\n\xff\xfe\n", "'utf-8' codec can't decode"),
+        (b'0,1\n"' + b"x" * 200_000 + b'",1\n', "field larger than field limit")],
+        ids=["not utf-8", "field over the csv limit"])
+    def test_unreadable_file_is_a_label_file_error(self, tmp_path, blob, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(blob)
+        with pytest.raises(LabelFileError, match=f"bad.csv: {message}"):
             read_labels_csv(path)
 
 
