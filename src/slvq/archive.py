@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import _CODEC_BLOCK_ELEMENTS, _finite_positive, _is_count, _row_blocks
+from .labels import _finite_positive, _is_count, _row_blocks
 from .vqae import GRADIENT_MODES, RENORM_FLOOR, ModelValidationError, VqaeModel, _check_codes, decompress
 
 SLAR_MAGIC = b"SLAR"
@@ -53,7 +53,7 @@ def pack_indices(indices: np.ndarray, bits: int) -> bytes:
         raise ArchiveError(f"index out of range for {bits}-bit packing")
     n, m = indices.shape
     out = np.empty((n, packed_row_bytes(m, bits)), dtype=np.uint8)
-    for s in _row_blocks(n, m * 32, _CODEC_BLOCK_ELEMENTS):
+    for s in _row_blocks(n, m * 32):
         # the 32 bits of each big-endian word, MSB first; keep the low ``bits``
         # (packbits pads each row to a byte with zeros)
         words = np.unpackbits(np.ascontiguousarray(indices[s, :, None], ">u4").view(np.uint8), axis=2)
@@ -70,7 +70,7 @@ def unpack_indices(blob: bytes, n: int, m: int, bits: int) -> np.ndarray:
         raise ArchiveError(f"expected {n * row_bytes} packed bytes, got {len(blob)}")
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(n, row_bytes)
     out = np.empty((n, m), dtype=np.int64)
-    for s in _row_blocks(n, m * 32, _CODEC_BLOCK_ELEMENTS):
+    for s in _row_blocks(n, m * 32):
         words = np.zeros((s.stop - s.start, m, 32), dtype=np.uint8)
         bit_rows = np.unpackbits(raw[s], axis=1, count=m * bits)
         words[:, :, 32 - bits:] = bit_rows.reshape(len(words), m, bits)

@@ -5,6 +5,7 @@ raw-vs-reconstructed student comparisons.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -28,7 +29,6 @@ class SyntheticTask:
     x_test: np.ndarray
     y_test: np.ndarray
     num_classes: int
-    seed: int
 
     @property
     def dim(self) -> int:
@@ -56,7 +56,7 @@ def make_task(seed: int, d: int, c: int, n_per_class: int,
 
     x_train, y_train = draw(n_per_class)
     x_test, y_test = draw(n_test_per_class)
-    return SyntheticTask(x_train, y_train, x_test, y_test, c, seed)
+    return SyntheticTask(x_train, y_train, x_test, y_test, c)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +145,10 @@ def train_mlp_kl(model: MlpModel, x: np.ndarray, targets_per_view, tau: float,
     return history
 
 
-def train_teacher(task: SyntheticTask, hidden: int = 128, epochs: int = 100,
-                  batch_size: int = 64, seed: int = 0) -> MlpModel:
-    """Fit the teacher on one-hot ground truth (KL to one-hot = cross-entropy)."""
-    teacher = init_mlp(task.dim, hidden, task.num_classes, seed)
-    onehot = np.eye(task.num_classes)[task.y_train]
-    train_mlp_kl(teacher, task.x_train, onehot[None], tau=1.0, epochs=epochs,
-                 batch_size=batch_size, seed=seed + 1)
-    return teacher
+def train_teacher(task: SyntheticTask, hidden: int = 128, epochs: int = 100, seed: int = 0) -> MlpModel:
+    """Fit the teacher as a student of the one-hot ground truth (KL to one-hot = cross-entropy)."""
+    onehot = SoftLabelMatrix(np.eye(task.num_classes)[task.y_train])
+    return train_student_kl(task, onehot, 1.0, hidden, epochs, seed=seed)
 
 
 def cache_teacher_labels(teacher: MlpModel, task: SyntheticTask, views: int = 1,
@@ -264,13 +260,14 @@ def _twin_students(task: SyntheticTask, labels: SoftLabelMatrix,
                    reconstructed: SoftLabelMatrix, *args) -> tuple[MlpModel, MlpModel]:
     """The raw-label student, trained here, and the reconstructed-label one,
     trained at the same time in a forked child, or here after it if there is
-    no fork (``_FORK_TWIN`` off, or ``os.fork`` fails). The child inherits the
-    inputs (nothing is pickled on the way in), pickles (ok, student or
-    exception) into a pipe and leaves through ``os._exit``. It is reaped on
-    every path, and one that exits without a result raises TrainingError."""
+    no fork (``_FORK_TWIN`` off, SIGCHLD ignored so that no child can be
+    waited for, or ``os.fork`` fails). The child inherits the inputs (nothing
+    is pickled on the way in), pickles (ok, student or exception) into a pipe
+    and leaves through ``os._exit``. It is reaped on every path, here or by a
+    SIGCHLD handler, and one that exits without a result raises TrainingError."""
     read_fd, write_fd = os.pipe()
     try:
-        pid = os.fork() if _FORK_TWIN else -1
+        pid = os.fork() if _FORK_TWIN and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN else -1
     except OSError:   # e.g. EAGAIN under a process limit
         pid = -1
     if pid < 0:
@@ -295,12 +292,16 @@ def _twin_students(task: SyntheticTask, labels: SoftLabelMatrix,
         with os.fdopen(read_fd, "rb") as pipe:
             raw_student = train_student_kl(task, labels, *args)
             payload = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        try:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except ChildProcessError:   # a SIGCHLD handler reaped it, so the pipe decides
+            status = 0 if payload else "unknown"
         pid = 0
     finally:
         if pid:   # this process's student failed, so the twin is not needed
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):   # reaped by a handler
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     if status != 0:
         raise TrainingError(f"the reconstructed-label student exited with status {status} and no result")
     ok, result = pickle.loads(payload)

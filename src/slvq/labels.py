@@ -15,8 +15,6 @@ import numpy as np
 SIMPLEX_ATOL = 1e-6
 
 _PRECISION_DTYPES = {"half": np.dtype(np.float16), "single": np.dtype(np.float32)}
-_PRECISION_CODES = {"half": 0, "single": 1}
-_CODE_PRECISIONS = {v: k for k, v in _PRECISION_CODES.items()}
 
 SLAB_MAGIC = b"SLAB"
 SLAB_VERSION = 1
@@ -35,7 +33,7 @@ def _is_count(v, least: int = 1) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
 
 
-def _row_blocks(n: int, row_elements: int, budget: int) -> list[slice]:
+def _row_blocks(n: int, row_elements: int, budget: int = _CODEC_BLOCK_ELEMENTS) -> list[slice]:
     """Slices that split n rows of ``row_elements`` evenly into blocks of at most
     about ``budget`` elements (a row a block if one row is larger; one empty slice
     if n = 0), the last the largest. No block is a few leftover rows, which BLAS
@@ -171,8 +169,8 @@ def validate_simplex(labels, atol: float = SIMPLEX_ATOL) -> SimplexReport:
 
 
 # ---------------------------------------------------------------------------
-# SLAB file format: magic "SLAB", version u16, c u32, n u32, precision u8,
-# then row-major scalars, little-endian.
+# SLAB file format: magic "SLAB", version u16, c u32, n u32, precision u8 (the
+# tag's position in _PRECISION_DTYPES), then row-major scalars, little-endian.
 # ---------------------------------------------------------------------------
 
 class LabelFileError(ValueError):
@@ -183,7 +181,7 @@ def write_slab(labels: SoftLabelMatrix, path) -> None:
     dtype = _PRECISION_DTYPES[labels.precision_tag].newbyteorder("<")
     payload = labels.data.astype(dtype)
     header = _SLAB_HEAD.pack(SLAB_MAGIC, SLAB_VERSION, labels.c, labels.n,
-                             _PRECISION_CODES[labels.precision_tag])
+                             list(_PRECISION_DTYPES).index(labels.precision_tag))
     with open(path, "wb") as f:
         f.write(header)
         f.write(payload)
@@ -199,9 +197,9 @@ def read_slab(path) -> SoftLabelMatrix:
     _, version, c, n, prec_code = _SLAB_HEAD.unpack_from(blob)
     if version != SLAB_VERSION:
         raise LabelFileError(f"{path}: unsupported SLAB version {version}")
-    if prec_code not in _CODE_PRECISIONS:
+    if prec_code >= len(_PRECISION_DTYPES):
         raise LabelFileError(f"{path}: unknown precision code {prec_code}")
-    tag = _CODE_PRECISIONS[prec_code]
+    tag = list(_PRECISION_DTYPES)[prec_code]
     dtype = _PRECISION_DTYPES[tag].newbyteorder("<")
     expected = _SLAB_HEAD.size + n * c * dtype.itemsize
     if len(blob) != expected:
@@ -218,7 +216,7 @@ def read_slab(path) -> SoftLabelMatrix:
     return SoftLabelMatrix(data, precision_tag=tag)
 
 
-def read_labels_csv(path, precision_tag: str = "half") -> SoftLabelMatrix:
+def read_labels_csv(path) -> SoftLabelMatrix:
     """Read labels from UTF-8 CSV: a header row of class ids, one label per line."""
     try:
         with open(path, newline="", encoding="utf-8") as f:
@@ -239,7 +237,7 @@ def read_labels_csv(path, precision_tag: str = "half") -> SoftLabelMatrix:
         raise LabelFileError(f"{path}: {err}") from None
     if not rows:
         raise LabelFileError(f"{path}: no label rows")
-    return SoftLabelMatrix(np.array(rows, dtype=np.float64), precision_tag=precision_tag)
+    return SoftLabelMatrix(np.array(rows, dtype=np.float64))
 
 
 def write_labels_csv(labels: SoftLabelMatrix, path) -> None:

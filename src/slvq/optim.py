@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .labels import _finite_positive
+from .labels import _finite_positive, _row_blocks
 
 BLOCK = 32_768   # elements per pass: 256 KB per float64 array, so a pass stays in L2
 
@@ -14,9 +14,9 @@ class AdamW:
 
     Parameters are a dict name -> writeable, C-contiguous float64 ndarray;
     ``step`` updates them in place from a matching dict of gradients. It
-    works on flat blocks of BLOCK elements through two scratch buffers and
-    allocates nothing; each element sees the same operations in the same
-    order as the whole-array form, so the results are the same bits.
+    works on even flat blocks of at most BLOCK elements through two scratch
+    buffers and allocates nothing; each element sees the same operations in
+    the same order as the whole-array form, so the results are the same bits.
     """
 
     def __init__(self, params: dict, lr: float = 1e-3, betas=(0.9, 0.999),
@@ -42,13 +42,11 @@ class AdamW:
         # views made once so that a step only slices the gradient
         size = min(BLOCK, max((p.size for p in params.values()), default=0))
         a, b = np.empty(size), np.empty(size)
-        self._blocks = {name: [] for name in params}
+        self._blocks = {}
         for name, p in params.items():
             flat = [x.reshape(-1) for x in (p, self.m[name], self.v[name])]
-            for start in range(0, p.size, BLOCK):
-                s = slice(start, start + BLOCK)
-                n = flat[0][s].size
-                self._blocks[name].append((s, *(x[s] for x in flat), a[:n], b[:n]))
+            self._blocks[name] = [(s, *(x[s] for x in flat), a[:s.stop - s.start], b[:s.stop - s.start])
+                                  for s in _row_blocks(p.size, 1, BLOCK)]
 
     def step(self, grads: dict) -> None:
         self.t += 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import _CODEC_BLOCK_ELEMENTS, SoftLabelMatrix, _finite_positive, _is_count, _row_blocks
+from .labels import SoftLabelMatrix, _finite_positive, _is_count, _row_blocks
 from .optim import AdamW
 
 STRAIGHT_THROUGH = "straight_through"
@@ -188,7 +188,7 @@ def _nearest_codes(rows: np.ndarray, model: VqaeModel) -> np.ndarray:
     np.negative(model.codebook, out=table_t[:, :d_c])
     table_t[:, d_c] = 0.5 * np.einsum("kd,kd->k", model.codebook, model.codebook)
     indices = np.empty(n * model.m, dtype=np.int64)
-    blocks = _row_blocks(segs.shape[0], k + d_c + 1, _CODEC_BLOCK_ELEMENTS)   # scores + padded segments
+    blocks = _row_blocks(segs.shape[0], k + d_c + 1)   # scores + padded segments
     block_rows = blocks[-1].stop - blocks[-1].start
     scores_buf, padded_buf = np.empty((block_rows, k)), np.empty((block_rows, d_c + 1))
     padded_buf[:, d_c] = 1.0
@@ -403,7 +403,7 @@ def compress(labels: SoftLabelMatrix | np.ndarray, model: VqaeModel) -> np.ndarr
     if Y.ndim != 2 or Y.shape[1] != model.c:
         raise ModelValidationError(f"expected n x {model.c} rows, got shape {Y.shape}")
     indices = np.empty((Y.shape[0], model.m), dtype=np.int64)
-    for s in _row_blocks(Y.shape[0], model.d_h, _CODEC_BLOCK_ELEMENTS):
+    for s in _row_blocks(Y.shape[0], model.d_h):
         indices[s] = _nearest_codes(encode(Y[s], model), model)
     return indices
 
@@ -411,7 +411,7 @@ def compress(labels: SoftLabelMatrix | np.ndarray, model: VqaeModel) -> np.ndarr
 def _decode_codes(indices, model: VqaeModel) -> np.ndarray:
     """The one decode path for VQ codes: check, look up, decode (no renormalize)."""
     indices = _check_codes(indices, model)
-    blocks = _row_blocks(indices.shape[0], model.d_h, _CODEC_BLOCK_ELEMENTS)
+    blocks = _row_blocks(indices.shape[0], model.d_h)
     # One gather buffer serves every block. It is made before the output: made
     # after it, a loop that kept every output page-faulted a fresh buffer per call.
     h_hat = np.empty((blocks[-1].stop - blocks[-1].start, model.m, model.d_c))

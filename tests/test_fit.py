@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slvq.labels import SoftLabelMatrix
-from slvq.optim import AdamW
+from slvq.optim import BLOCK, AdamW
 from slvq.vqae import (
     ModelValidationError,
     TrainConfig,
@@ -53,8 +53,9 @@ class ReferenceAdamW:
 class TestAdamW:
     def test_blocked_update_is_bit_identical_to_reference(self):
         rng = np.random.default_rng(0)
-        # 75,000 elements span two full blocks and part of a third
-        shapes = {"w": (300, 250), "b": (3,)}
+        # 75,000 elements span three blocks; the others are empty, one block
+        # exactly and one element over
+        shapes = {"w": (300, 250), "b": (3,), "empty": (0,), "one block": (BLOCK,), "over": (BLOCK + 1,)}
         params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
         expected = {name: p.copy() for name, p in params.items()}
         opt = AdamW(params, lr=0.01, betas=(0.8, 0.99), eps=1e-6, weight_decay=0.1)

@@ -1,6 +1,8 @@
 import csv
 import errno
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -253,6 +255,50 @@ class TestTwinStudents:
         monkeypatch.setattr(os, "fork", fork)
         assert compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20, seed=3) == forked
         assert len(os.listdir("/proc/self/fd")) == open_fds   # both pipe ends closed
+        assert_no_child()
+
+    @pytest.fixture
+    def sigchld(self):
+        """Sets SIGCHLD's disposition for one test and restores it afterwards."""
+        before = signal.getsignal(signal.SIGCHLD)
+        yield lambda handler: signal.signal(signal.SIGCHLD, handler)
+        signal.signal(signal.SIGCHLD, before)
+
+    @pytest.mark.skipif(not harness._FORK_TWIN, reason="the twins fork only on Linux")
+    def test_ignored_sigchld_gives_the_forked_report(self, twin_inputs, sigchld):
+        task, labels, reconstructed = twin_inputs
+        forked = compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20, seed=3)
+        sigchld(signal.SIG_IGN)   # children are reaped by the kernel and cannot be waited for
+        assert compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20, seed=3) == forked
+        assert_no_child()
+
+    @pytest.mark.skipif(not harness._FORK_TWIN, reason="the twins fork only on Linux")
+    @pytest.mark.parametrize("raw_fails", [False, True], ids=["twin result", "caller's error"])
+    def test_sigchld_handler_that_reaps_the_twin(self, twin_inputs, monkeypatch, sigchld, raw_fails):
+        task, labels, reconstructed = twin_inputs
+        forked = compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20, seed=3)
+        reaped = []
+
+        def reap(signum, frame):
+            try:
+                reaped.append(os.waitpid(-1, os.WNOHANG)[0])
+            except ChildProcessError:
+                pass
+        sigchld(reap)
+
+        def after_the_twin_is_reaped():   # the handler, not _twin_students, reaps the child
+            deadline = time.monotonic() + 60
+            while not any(reaped) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert any(reaped)
+            if raw_fails:
+                raise TrainingError("raw student diverged")
+        self.fail_on(monkeypatch, labels, after_the_twin_is_reaped)
+        if raw_fails:
+            with pytest.raises(TrainingError, match="raw student diverged"):
+                compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20, seed=3)
+        else:
+            assert compare(task, labels, reconstructed, storage_ratio=40.0, epochs=20, seed=3) == forked
         assert_no_child()
 
     @pytest.mark.skipif(not harness._FORK_TWIN, reason="the twins fork only on Linux")

@@ -182,6 +182,12 @@ class TestSlabIO:
         with pytest.raises(LabelFileError, match="unknown precision code 7"):
             read_slab(path)
 
+    @pytest.mark.parametrize("precision, code", [("half", 0), ("single", 1)])
+    def test_writer_stores_the_precision_code(self, rng, tmp_path, precision, code):
+        path = tmp_path / "labels.slab"
+        write_slab(SoftLabelMatrix(rng.dirichlet(np.ones(3), size=2), precision_tag=precision), path)
+        assert path.read_bytes()[14] == code   # magic 4, version 2, c 4, n 4, then the precision code
+
 
 class TestCsvIO:
     def test_roundtrip(self, rng, tmp_path):
