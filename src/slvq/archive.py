@@ -45,8 +45,8 @@ def packed_row_bytes(m: int, bits: int) -> int:
 def pack_indices(indices: np.ndarray, bits: int) -> bytes:
     """Pack an n x m index matrix, MSB-first, one byte-aligned record per row."""
     indices = np.asarray(indices)
-    if indices.ndim != 2:
-        raise ArchiveError(f"index matrix must be 2-D, got shape {indices.shape}")
+    if indices.ndim != 2 or indices.dtype.kind not in "iu":
+        raise ArchiveError(f"index matrix must be 2-D integers, got {indices.dtype} shape {indices.shape}")
     if not (_is_count(bits) and bits <= 32):
         raise ArchiveError(f"bits must be in 1..32, got {bits}")
     if indices.size and (indices.min() < 0 or indices.max() >= (1 << bits)):

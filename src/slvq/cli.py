@@ -12,8 +12,6 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from . import archive as ar
 from . import budget as bd
 from . import harness as hz
@@ -271,8 +269,7 @@ def main(argv=None) -> int:
                 if not isinstance(defaults, dict):
                     raise ValueError("not a JSON object")
             except (OSError, ValueError) as err:   # ValueError covers JSON and UTF-8 errors
-                print(f"error: cannot read config {cfg_path}: {err}", file=sys.stderr)
-                return EXIT_DATA
+                raise ValueError(f"cannot read config {cfg_path}: {err}") from None
             # subcommand parsers re-apply their own defaults over the top-level
             # namespace, so the config must be pushed into each of them
             parser.set_defaults(**defaults)
@@ -281,20 +278,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not lb._is_count(args.seed, 0):   # also a seed that --config set
             parser.error(f"argument --seed: need an integer >= 0, got {args.seed!r}")
-    except _UsageExit:
-        return EXIT_USAGE
-    try:
         with warnings.catch_warnings():
             # budget's text ("inexact") and its JSON field "exact" report an inexact k
             warnings.filterwarnings("ignore", r"k=\d+ is not a power of two", UserWarning)
             result, text = _COMMANDS[args.command](args)
         print(json.dumps(result) if args.json else text)
         return EXIT_OK
-    except (lb.LabelValidationError, lb.LabelFileError, ar.ArchiveError,
-            bd.BudgetError, vq.ModelValidationError, OSError) as err:
+    except _UsageExit:
+        return EXIT_USAGE
+    # every slvq data error is a ValueError; an OverflowError is a count too big for a float or C long
+    except (ValueError, OverflowError, MemoryError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except (vq.TrainingError, FloatingPointError, np.linalg.LinAlgError) as err:
+    except (vq.TrainingError, FloatingPointError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

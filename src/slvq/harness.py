@@ -54,8 +54,9 @@ def make_task(seed: int, d: int, c: int, n_per_class: int,
         xs = means[ys] + spread * rng.standard_normal((ys.size, d))
         return xs, ys
 
-    x_train, y_train = draw(n_per_class)
-    x_test, y_test = draw(n_test_per_class)
+    with np.errstate(over="raise", invalid="raise"):   # a huge spread overflows the draw
+        x_train, y_train = draw(n_per_class)
+        x_test, y_test = draw(n_test_per_class)
     return SyntheticTask(x_train, y_train, x_test, y_test, c)
 
 

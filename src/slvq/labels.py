@@ -112,14 +112,6 @@ class LogitMatrix:
         if not _finite_positive(self.temperature):
             raise LabelValidationError(f"temperature must be positive, got {self.temperature}")
 
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def c(self) -> int:
-        return self.data.shape[1]
-
 
 def stable_softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Row-wise softmax with max subtraction, in double precision.

@@ -202,10 +202,12 @@ def _nearest_codes(rows: np.ndarray, model: VqaeModel) -> np.ndarray:
 
 
 def _check_codes(indices, model: VqaeModel) -> np.ndarray:
-    """``indices`` as an array, checked to be an n x m matrix (n >= 1) of codes in [0, k)."""
+    """``indices`` as an array, checked to be an n x m integer matrix (n >= 1) of codes in [0, k)."""
     indices = np.asarray(indices)
-    if indices.ndim != 2 or indices.shape[1] != model.m or not indices.shape[0]:
-        raise ModelValidationError(f"index matrix must be n x {model.m} with n >= 1, got {indices.shape}")
+    if (indices.dtype.kind not in "iu" or indices.ndim != 2
+            or indices.shape[1] != model.m or not indices.shape[0]):
+        raise ModelValidationError(f"index matrix must be n x {model.m} integers with n >= 1, "
+                                   f"got {indices.dtype} {indices.shape}")
     if indices.min() < 0 or indices.max() >= model.k:
         raise ModelValidationError(f"code index out of range [0, {model.k})")
     return indices

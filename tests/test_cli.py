@@ -318,6 +318,40 @@ class TestFitAndEvalArguments:
         assert code == EXIT_DATA
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # numpy or Python refuses each count before allocating anything: a float
+    # cannot hold 10**320 bytes, a C long cannot hold 10**20, and 2**62 codes
+    # of 8 bytes pass np.intp's maximum
+    @pytest.mark.parametrize("argv", [
+        ["budget", "--ipc", "1" + "0" * 320, "--classes", "10", "--epochs", "1"],
+        ["budget", "--ipc", "1", "--classes", "10", "--epochs", "1", "--d-h", "10", "--d-c", "5",
+         "--k", "4", "--aug", "1" + "0" * 320, "--json"],
+        ["eval", "--classes", "100000000000000000000", "--steps", "1"],
+        ["eval", "--n-per-class", "100000000000000000000", "--steps", "1"],
+        ["eval", "--k", str(2 ** 62), "--classes", "4", "--n-per-class", "2", "--views", "1",
+         "--steps", "1", "--student-epochs", "1"],
+    ], ids=["budget ipc", "budget aug", "eval classes", "eval n-per-class", "eval k"])
+    def test_oversized_count_is_a_data_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_DATA and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_memory_error_is_a_data_error(self, capsys, monkeypatch):
+        def refuse(spec):
+            raise MemoryError("cannot allocate")
+        monkeypatch.setattr("slvq.budget.raw_label_bytes", refuse)
+        code, _, err = run(capsys, "budget", "--ipc", "1", "--classes", "2", "--epochs", "1")
+        assert code == EXIT_DATA
+        assert err == "error: cannot allocate\n"
+
+    def test_overflowing_task_draw_is_one_numeric_failure(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "eval", "--spread", "1e308", "--classes", "4",
+                               "--n-per-class", "2", "--views", "1", "--steps", "1",
+                               "--student-epochs", "1")
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+
 
 class TestConfigAndSeed:
     def test_config_file_sets_defaults(self, capsys, label_file, tmp_path):

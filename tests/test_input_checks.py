@@ -127,6 +127,8 @@ def tiny_model():
 STRUCTURE_CHECKS = {
     "pack_indices 1-D": (lambda: archive.pack_indices(np.zeros(4, dtype=np.int64), 2),
                          archive.ArchiveError, "index matrix must be 2-D"),
+    "pack_indices float": (lambda: archive.pack_indices(np.array([[1.7]]), 3),
+                           archive.ArchiveError, "index matrix must be 2-D integers"),
     "write_model gradient mode": (lambda: archive.write_model(tiny_model(), os.devnull, "sideways"),
                                   vqae.ModelValidationError, "cannot write gradient mode 'sideways'"),
     "TrainConfig gradient mode": (lambda: vqae.TrainConfig(gradient_mode="sideways"),
