@@ -1,51 +1,2 @@
-"""Soft-label vector-quantized compression toolkit."""
-
-from .labels import (
-    LogitMatrix,
-    SoftLabelMatrix,
-    read_labels_csv,
-    read_slab,
-    softmax_labels,
-    validate_simplex,
-    write_slab,
-)
-from .vqae import (
-    TrainConfig,
-    TrainTrace,
-    VqaeModel,
-    cache_loss_and_grads,
-    compress,
-    decode,
-    decompress,
-    encode,
-    fit,
-    quantize_latent,
-    refit_decoder,
-    renormalize,
-)
-from .budget import (
-    BudgetSpec,
-    StorageReport,
-    asymptotic_ratio_class,
-    compression_ratio,
-    level_set,
-    llm_compression_ratio,
-    llm_raw_bytes,
-    pca_bytes,
-    quant_bytes,
-    raw_label_bytes,
-    solve_hyperparams,
-    topk_bytes,
-    vq_bytes,
-)
-from .archive import (
-    CompressedArchive,
-    pack_indices,
-    read_archive,
-    read_model,
-    unpack_indices,
-    write_archive,
-    write_model,
-)
-
-__version__ = "0.1.0"
+"""Soft-label vector-quantized compression toolkit: import each name from its
+module, one of labels, vqae, optim, baselines, budget, archive, harness, cli."""

@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -182,7 +183,7 @@ def _cmd_decompress(args):
 def _cmd_budget(args):
     spec = bd.BudgetSpec(args.ipc, args.classes, args.epochs, args.aug,
                          d_h=args.d_h, d_c=args.d_c, k=args.k)
-    if args.d_h is not None:
+    if (spec.d_h, spec.d_c, spec.k) != (None, None, None):   # vq_bytes rejects a partial set
         report = bd.vq_bytes(spec)
         return report.as_dict(), _report_text(report)
     raw = bd.raw_label_bytes(spec)
@@ -198,17 +199,17 @@ def _cmd_solve(args):
 
 
 def _cmd_eval(args):
-    # the budget is priced first, so a bad accounting flag trains nothing
+    # the budget and the fit config come first, so a bad accounting or fit flag trains nothing
     spec = bd.BudgetSpec(args.n_per_class, args.classes, args.account_epochs,
                          d_h=args.d_h, d_c=args.d_c, k=args.k)
     ratio = bd.compression_ratio(spec)
+    config = vq.TrainConfig(max_steps=args.steps, seed=args.seed)
     task = hz.make_task(args.seed, args.dim, args.classes, args.n_per_class,
                         spread=args.spread)
     teacher = hz.train_teacher(task, seed=args.seed)
     labels = hz.cache_teacher_labels(teacher, task, views=args.views, tau=args.tau,
                                      jitter=args.jitter, seed=args.seed)
-    config = vq.TrainConfig(batch_size=min(vq.TrainConfig.batch_size, labels.n),
-                            max_steps=args.steps, seed=args.seed)
+    config = dataclasses.replace(config, batch_size=min(config.batch_size, labels.n))
     model, _ = vq.fit(labels, args.d_h, args.d_c, args.k, config)
     reconstructed = vq.decompress(vq.compress(labels, model), model, config.epsilon)
     report = hz.compare(task, labels, reconstructed, ratio,
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
                     raise ValueError("not a JSON object")
             except (OSError, ValueError) as err:   # ValueError covers JSON and UTF-8 errors
                 raise ValueError(f"cannot read config {cfg_path}: {err}") from None
+            flags = {action.dest for command in sub.choices.values() for action in command._actions}
+            if unknown := [key for key in defaults if key not in flags]:
+                parser.error(f"config {cfg_path}: unrecognized keys: {', '.join(map(repr, unknown))}")
             # subcommand parsers re-apply their own defaults over the top-level
             # namespace, so the config must be pushed into each of them
             parser.set_defaults(**defaults)

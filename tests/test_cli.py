@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from slvq import harness
 from slvq.archive import (
     CODEC_VQAE,
     CompressedArchive,
@@ -90,6 +91,15 @@ class TestBudgetCommands:
                            "--k", "1024", "--json")
         assert code == EXIT_OK
         assert json.loads(out)["compressed_gb"] == 0.558
+
+    # one or two of the three used to print the raw cost and exit 0
+    @pytest.mark.parametrize("dims", [["--d-c", "5"], ["--k", "4"], ["--d-c", "5", "--k", "4"]],
+                             ids=" ".join)
+    def test_budget_wants_all_three_vq_dimensions_or_none(self, capsys, dims):
+        code, out, err = run(capsys, "budget", "--ipc", "1", "--classes", "10", "--epochs", "1",
+                             *dims)
+        assert code == EXIT_DATA and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_solve(self, capsys):
         code, out, _ = run(capsys, "solve", "--target", "40", "--ipc", "10",
@@ -343,6 +353,19 @@ class TestFitAndEvalArguments:
         assert code == EXIT_DATA
         assert err == "error: cannot allocate\n"
 
+    def test_eval_checks_its_fit_config_before_training(self, capsys, monkeypatch):
+        calls, train_teacher = [], harness.train_teacher
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return train_teacher(*args, **kwargs)
+        monkeypatch.setattr(harness, "train_teacher", record)
+        code, out, err = run(capsys, "eval", "--steps", "-1", "--classes", "4", "--n-per-class", "2",
+                             "--views", "1")
+        assert code == EXIT_DATA and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert calls == []
+
     def test_overflowing_task_draw_is_one_numeric_failure(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -371,6 +394,19 @@ class TestConfigAndSeed:
                            "--d-h", "4", "--d-c", "2", "--k", "4", "--json")
         assert code == EXIT_OK
         assert json.loads(out)["steps"] == 25
+
+    # a key that is no flag's dest used to be ignored, and fit ran on its defaults
+    @pytest.mark.parametrize("key", ["batch-size", "stepz"])
+    def test_config_key_that_names_no_flag(self, capsys, label_file, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 7}))
+        code, out, err = run(capsys, "--config", str(cfg), "fit", "--labels", str(label_file),
+                             "--out", str(tmp_path / "m.slvq"), "--d-h", "4", "--d-c", "2",
+                             "--k", "4", "--steps", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(key) in err
+        assert not (tmp_path / "m.slvq").exists()
 
     def test_seed_env_fallback(self, capsys, label_file, tmp_path, monkeypatch):
         monkeypatch.setenv("SLVQ_SEED", "9")
