@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labels import _finite_positive, _is_count, _row_blocks
-from .vqae import GRADIENT_MODES, RENORM_FLOOR, ModelValidationError, VqaeModel, _check_codes, decompress
+from .vqae import (GRADIENT_MODES, MAX_K, RENORM_FLOOR, ModelValidationError, VqaeModel, _check_codes,
+                   decompress)
 
 SLAR_MAGIC = b"SLAR"
 SLAR_VERSION = 1
@@ -47,7 +48,7 @@ def pack_indices(indices: np.ndarray, bits: int) -> bytes:
     indices = np.asarray(indices)
     if indices.ndim != 2 or indices.dtype.kind not in "iu":
         raise ArchiveError(f"index matrix must be 2-D integers, got {indices.dtype} shape {indices.shape}")
-    if not (_is_count(bits) and bits <= 32):
+    if not (_is_count(bits) and bits <= _index_bits(MAX_K)):
         raise ArchiveError(f"bits must be in 1..32, got {bits}")
     if indices.size and (indices.min() < 0 or indices.max() >= (1 << bits)):
         raise ArchiveError(f"index out of range for {bits}-bit packing")
@@ -63,7 +64,7 @@ def pack_indices(indices: np.ndarray, bits: int) -> bytes:
 
 def unpack_indices(blob: bytes, n: int, m: int, bits: int) -> np.ndarray:
     """Invert pack_indices; validates bits and the blob length."""
-    if not (_is_count(bits) and bits <= 32):
+    if not (_is_count(bits) and bits <= _index_bits(MAX_K)):
         raise ArchiveError(f"bits must be in 1..32, got {bits}")
     row_bytes = packed_row_bytes(m, bits)
     if len(blob) != n * row_bytes:
@@ -85,7 +86,7 @@ class CompressedArchive:
 
     codec_id: int
     header: dict
-    arrays: dict = field(default_factory=dict)        # name -> float64 ndarray (stored _PARAM_DTYPE)
+    arrays: dict = field(default_factory=dict)        # name -> ndarray, stored as _PARAM_DTYPE (float32 when read)
     packed: dict = field(default_factory=dict)        # name -> (indices, bits)
 
     def __post_init__(self):
@@ -221,7 +222,8 @@ def _decode_body(view: memoryview) -> CompressedArchive:
         name = str(take_bytes(*take(_SLAR_U16)), "utf-8")
         rows, cols = take(_SLAR_ARRAY)
         data = np.frombuffer(take_bytes(rows * cols * _PARAM_DTYPE.itemsize), dtype=_PARAM_DTYPE)
-        arrays[name] = data.reshape(rows, cols).astype(np.float64)
+        # a native float32 copy: a view would keep the whole file blob alive
+        arrays[name] = data.reshape(rows, cols).astype(np.float32)
     for _ in range(*take(_SLAR_U16)):
         name = str(take_bytes(*take(_SLAR_U16)), "utf-8")
         n, m, bits = take(_SLAR_PACKED)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .archive import _PARAM_DTYPE, _index_bits
 from .labels import _PRECISION_DTYPES, _finite_positive, _is_count
+from .vqae import MAX_K
 
 GIB = 1024 ** 3
 HALF_LABEL_BYTES = _PRECISION_DTYPES["half"].itemsize   # one half label scalar, as SLAB stores it
@@ -55,6 +56,8 @@ class BudgetSpec:
             if not _is_count(v):
                 raise BudgetError(f"{name} must be a positive integer, got {v!r}")
             object.__setattr__(self, name, int(v))   # exact byte arithmetic for numpy ints too
+        if self.k is not None and self.k > MAX_K:
+            raise BudgetError(f"k must be at most 2**32, the most codes an archive stores, got {self.k}")
 
     @property
     def n(self) -> int:
@@ -146,7 +149,7 @@ def asymptotic_ratio_class(d_c: int, k: int) -> float:
 
 def level_set(d_c0: int, k0: int, steps: int):
     """(k, d_c) pairs with identical asymptotic ratio class: square k,
-    double d_c each step. Truncates with a warning if k would exceed 2^32.
+    double d_c each step. Truncates with a warning if k would exceed MAX_K (2^32).
     """
     if not (_is_count(d_c0) and _is_count(k0, 2) and _is_count(steps, 0)):
         raise BudgetError(f"need integers d_c0 >= 1, k0 >= 2, steps >= 0, got {d_c0}, {k0}, {steps}")
@@ -154,7 +157,7 @@ def level_set(d_c0: int, k0: int, steps: int):
     pairs = [(k, d_c)]
     for _ in range(steps):
         k, d_c = k * k, d_c * 2
-        if k > 2 ** 32:
+        if k > MAX_K:
             warnings.warn(f"level set truncated: k={k} exceeds 2^32", stacklevel=2)
             break
         pairs.append((k, d_c))

@@ -61,6 +61,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # main reads --config before parsing, wherever it sits; every parser accepts it
+        p.add_argument("--config", help="JSON file with default flag values")
         p.add_argument("--seed", type=int, default=os.environ.get("SLVQ_SEED", "0"))
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -259,8 +261,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub = _build_parser()
     try:
-        # --config is read first, in either form, so its values become defaults
-        pre = _Parser(add_help=False, allow_abbrev=False)
+        # --config is read first, in any form the parsers accept, so its values become defaults
+        pre = _Parser(add_help=False)
         pre.add_argument("--config")
         cfg_path = pre.parse_known_args(argv)[0].config
         if cfg_path is not None:

@@ -1,7 +1,9 @@
 """Soft-label and logit containers, simplex validation, and label file I/O.
 
-All numerics are double precision in memory; the ``precision_tag`` only
-records the precision assumed when the labels are stored or accounted for.
+Label and logit matrices are double precision in memory; the
+``precision_tag`` only records the precision assumed when the labels are
+stored or accounted for. (Codec weights read from a file stay float32; see
+``vqae.VqaeModel``.)
 """
 
 from __future__ import annotations

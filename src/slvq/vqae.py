@@ -20,6 +20,7 @@ STRAIGHT_THROUGH = "straight_through"
 LITERAL_STOP_GRADIENT = "literal_stop_gradient"
 GRADIENT_MODES = (STRAIGHT_THROUGH, LITERAL_STOP_GRADIENT)
 RENORM_FLOOR = 1e-8   # the default epsilon every decoded label entry is clamped to
+MAX_K = 2 ** 32       # the most codes a model may have: an archive stores each index in at most 32 bits
 # TrainConfig's float fields, each must be finite: name -> whether it may be 0
 _FLOAT_FIELDS = {"alpha": True, "beta": True, "weight_decay": True, "init_scale": True,
                  "lr": False, "epsilon": False}
@@ -41,16 +42,23 @@ class TrainingError(RuntimeError):
 @dataclass(frozen=True)
 class VqaeModel:
     """Linear encoder P (c x d_h), decoder D (d_h x c), codebook (k x d_c).
-    A decode-side model (what ships with compressed labels) has encoder None."""
+    A decode-side model (what ships with compressed labels) has encoder None.
+
+    The encoder is float64. The decoder and codebook share one dtype: float32
+    when both are given as float32 (a model read from a file decodes in its
+    stored precision), float64 otherwise."""
 
     encoder: np.ndarray | None
     decoder: np.ndarray
     codebook: np.ndarray
 
     def __post_init__(self):
+        decode_dtype = np.float32 if all(getattr(arr, "dtype", None) == np.float32
+                                         for arr in (self.decoder, self.codebook)) else np.float64
         names = ("decoder", "codebook") if self.encoder is None else ("encoder", "decoder", "codebook")
         for name in names:
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            dtype = np.float64 if name == "encoder" else decode_dtype
+            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
             object.__setattr__(self, name, arr)
             if arr.ndim != 2:
                 raise ModelValidationError(f"{name} must be 2-D, got shape {arr.shape}")
@@ -183,10 +191,11 @@ def _nearest_codes(rows: np.ndarray, model: VqaeModel) -> np.ndarray:
         raise ModelValidationError("latent contains non-finite entries")
     n, d_c, k = rows.shape[0], model.d_c, model.k
     segs = rows.reshape(n * model.m, d_c)
+    codebook = model.codebook.astype(np.float64, copy=False)   # a stored float32 one searches in float64
     # built as its k x (d_c+1) transpose, so BLAS sees codebook.T's layout
     table_t = np.empty((k, d_c + 1))
-    np.negative(model.codebook, out=table_t[:, :d_c])
-    table_t[:, d_c] = 0.5 * np.einsum("kd,kd->k", model.codebook, model.codebook)
+    np.negative(codebook, out=table_t[:, :d_c])
+    table_t[:, d_c] = 0.5 * np.einsum("kd,kd->k", codebook, codebook)
     indices = np.empty(n * model.m, dtype=np.int64)
     blocks = _row_blocks(segs.shape[0], k + d_c + 1)   # scores + padded segments
     block_rows = blocks[-1].stop - blocks[-1].start
@@ -219,8 +228,9 @@ def _code_rows(indices: np.ndarray, model: VqaeModel, out: np.ndarray | None = N
 
 
 def decode(h_hat, model: VqaeModel, out: np.ndarray | None = None) -> np.ndarray:
-    """Project quantized latents back to label space: y_hat = h_hat D (into ``out`` if given)."""
-    arr = np.asarray(h_hat, dtype=np.float64)
+    """Project quantized latents back to label space: y_hat = h_hat D, in the
+    decoder's dtype (into ``out`` if given)."""
+    arr = np.asarray(h_hat, dtype=model.decoder.dtype)
     if arr.shape[-1] != model.d_h:
         raise ModelValidationError(f"expected latent dim {model.d_h}, got {arr.shape[-1]}")
     return np.matmul(arr, model.decoder, out=out)
@@ -336,9 +346,9 @@ def fit(labels: SoftLabelMatrix | np.ndarray, d_h: int, d_c: int, k: int,
     TrainingError carrying the trace if the loss or an update goes non-finite.
     """
     Y = _as_rows(labels)
-    if not all(map(_is_count, (d_h, d_c, k))) or d_h % d_c != 0:
-        raise ModelValidationError(
-            f"need d_h, d_c, k >= 1 with d_c dividing d_h, got d_h={d_h}, d_c={d_c}, k={k}")
+    if not all(map(_is_count, (d_h, d_c, k))) or d_h % d_c != 0 or k > MAX_K:
+        raise ModelValidationError(f"need d_h, d_c, k >= 1 with d_c dividing d_h and k <= 2**32, "
+                                   f"got d_h={d_h}, d_c={d_c}, k={k}")
     if Y.shape[0] < config.batch_size:
         raise ModelValidationError(
             f"need n >= batch_size, got n={Y.shape[0]}, batch_size={config.batch_size}")
@@ -349,8 +359,9 @@ def fit(labels: SoftLabelMatrix | np.ndarray, d_h: int, d_c: int, k: int,
                                    f"expected {dims}")
     rng = np.random.default_rng(config.seed)
     init = _init_model(Y, d_h, d_c, k, rng, config.init_scale) if init_model is None else init_model
-    params = {"encoder": _encoder(init).copy(), "decoder": init.decoder.copy(),
-              "codebook": init.codebook.copy()}
+    # float64 working copies, also of a model read from a file
+    params = {"encoder": _encoder(init).copy(), "decoder": init.decoder.astype(np.float64),
+              "codebook": init.codebook.astype(np.float64)}
     model = VqaeModel(**params)   # keeps the arrays, so it sees every in-place update
     opt = AdamW({name: params[name] for name in trainable},
                 lr=config.lr, weight_decay=config.weight_decay)
@@ -394,7 +405,7 @@ def refit_decoder(labels: SoftLabelMatrix, model: VqaeModel) -> VqaeModel:
     ordinary least-squares problem in D; solving it directly removes any
     residual decoder suboptimality left by stochastic training.
     """
-    H_hat = _code_rows(compress(labels, model), model)
+    H_hat = _code_rows(compress(labels, model), model).astype(np.float64, copy=False)
     D_star, *_ = np.linalg.lstsq(H_hat, labels.data, rcond=None)
     return VqaeModel(model.encoder, D_star, model.codebook)
 
@@ -411,22 +422,28 @@ def compress(labels: SoftLabelMatrix | np.ndarray, model: VqaeModel) -> np.ndarr
 
 
 def _decode_codes(indices, model: VqaeModel) -> np.ndarray:
-    """The one decode path for VQ codes: check, look up, decode (no renormalize)."""
+    """The one decode path for VQ codes: check, look up, decode (no renormalize),
+    in the decoder's dtype."""
     indices = _check_codes(indices, model)
     blocks = _row_blocks(indices.shape[0], model.d_h)
     # One gather buffer serves every block. It is made before the output: made
     # after it, a loop that kept every output page-faulted a fresh buffer per call.
-    h_hat = np.empty((blocks[-1].stop - blocks[-1].start, model.m, model.d_c))
-    out = np.empty((indices.shape[0], model.c))
+    dtype = model.decoder.dtype
+    h_hat = np.empty((blocks[-1].stop - blocks[-1].start, model.m, model.d_c), dtype=dtype)
+    out = np.empty((indices.shape[0], model.c), dtype=dtype)
     for s in blocks:
         decode(_code_rows(indices[s], model, out=h_hat[:s.stop - s.start]), model, out=out[s])
     return out
 
 
 def decompress(indices: np.ndarray, model: VqaeModel, epsilon: float = RENORM_FLOOR) -> SoftLabelMatrix:
-    """Reconstruct soft labels from code indices: lookup, decode, renormalize in place."""
+    """Reconstruct soft labels from code indices: lookup, decode, renormalize.
+
+    The labels are float64: a float64 decode is renormalized in place, a
+    float32 one into a new float64 buffer."""
     decoded = _decode_codes(indices, model)
-    return SoftLabelMatrix(renormalize(decoded, epsilon, out=decoded))
+    in_place = decoded.dtype == np.float64
+    return SoftLabelMatrix(renormalize(decoded, epsilon, out=decoded if in_place else None))
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,9 @@ class TestArchiveContainer:
         path = tmp_path / "a.slar"
         write_archive(archive, path)
         out = decompress_vqae_archive(read_archive(path))
-        direct = decompress(compress(labels, model), model, epsilon=1e-8)
+        # the direct path through the model as stored: a float32 decoder and codebook
+        stored = VqaeModel(model.encoder, model.decoder.astype(np.float32), model.codebook.astype(np.float32))
+        direct = decompress(compress(labels, model), stored, epsilon=1e-8)
         np.testing.assert_allclose(out.data, direct.data, atol=1e-12)
 
     def test_corruption_detected(self, rng, tmp_path):

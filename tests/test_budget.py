@@ -42,6 +42,11 @@ class TestBudgetSpec:
         with pytest.raises(BudgetError):
             BudgetSpec(ipc=1.5, num_classes=10, epochs=1)
 
+    def test_k_at_most_the_widest_stored_code(self):
+        assert BudgetSpec(ipc=1, num_classes=10, epochs=1, d_h=40, d_c=1, k=2 ** 32).k == 2 ** 32
+        with pytest.raises(BudgetError, match="at most 2"):
+            BudgetSpec(ipc=1, num_classes=10, epochs=1, d_h=40, d_c=1, k=2 ** 32 + 1)
+
     def test_vq_fields_required_for_vq(self):
         with pytest.raises(BudgetError):
             vq_bytes(BudgetSpec(ipc=1, num_classes=10, epochs=1))

@@ -366,6 +366,21 @@ class TestFitAndEvalArguments:
         assert err.startswith("error:") and err.count("\n") == 1
         assert calls == []
 
+    # an archive stores at most 32-bit codes, so k above 2**32 is refused before any work
+    def test_budget_k_beyond_the_widest_code(self, capsys):
+        code, out, err = run(capsys, "budget", "--ipc", "1", "--classes", "10", "--epochs", "1",
+                             "--d-h", "40", "--d-c", "1", "--k", str(2 ** 40))
+        assert code == EXIT_DATA and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_eval_k_beyond_the_widest_code_trains_nothing(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "train_teacher", lambda *args, **kwargs: calls.append(args))
+        code, out, err = run(capsys, "eval", "--k", str(2 ** 62), "--steps", "1")
+        assert code == EXIT_DATA and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert calls == []
+
     def test_overflowing_task_draw_is_one_numeric_failure(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -394,6 +409,23 @@ class TestConfigAndSeed:
                            "--d-h", "4", "--d-c", "2", "--k", "4", "--json")
         assert code == EXIT_OK
         assert json.loads(out)["steps"] == 25
+
+    # --config after the subcommand is read as before it: one rule for every position
+    @pytest.mark.parametrize("flag", ["--config", "--conf"])
+    def test_config_after_the_subcommand(self, capsys, tmp_path, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"json": True}))
+        code, out, _ = run(capsys, "tables", flag, str(cfg))
+        assert code == EXIT_OK
+        assert "raw_gb" in json.loads(out)
+
+    @pytest.mark.parametrize("flag", ["--config", "--conf"])
+    def test_bad_config_after_the_subcommand(self, capsys, tmp_path, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        code, out, err = run(capsys, "tables", flag, str(cfg))
+        assert code == EXIT_DATA and out == ""
+        assert err.startswith("error: cannot read config") and err.count("\n") == 1
 
     # a key that is no flag's dest used to be ignored, and fit ran on its defaults
     @pytest.mark.parametrize("key", ["batch-size", "stepz"])

@@ -4,6 +4,7 @@ import pytest
 from slvq.labels import SoftLabelMatrix
 from slvq.optim import BLOCK, AdamW
 from slvq.vqae import (
+    MAX_K,
     ModelValidationError,
     TrainConfig,
     TrainingError,
@@ -236,6 +237,10 @@ class TestFitOwnsOneModel:
     def test_dimensions_below_one_rejected(self, rng, d_h, d_c, k):
         with pytest.raises(ModelValidationError, match="need d_h, d_c, k >= 1"):
             fit(random_labels(rng, 64, 8), d_h, d_c, k, quick_config())
+
+    def test_k_beyond_the_widest_stored_code_rejected(self, rng):
+        with pytest.raises(ModelValidationError, match=r"k <= 2\*\*32"):
+            fit(random_labels(rng, 64, 8), 4, 2, MAX_K + 1, quick_config())
 
     @pytest.mark.parametrize("overrides", [dict(batch_size=0), dict(batch_size=-1),
                                            dict(max_steps=-1)])
