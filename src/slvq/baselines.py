@@ -40,7 +40,7 @@ def topk_compress(labels: SoftLabelMatrix, k_top: int) -> TopkArchive:
 
 def topk_decompress(archive: TopkArchive, epsilon: float = RENORM_FLOOR) -> SoftLabelMatrix:
     full = topk_scatter(archive.values, archive.class_indices, archive.num_classes)
-    return SoftLabelMatrix(renormalize(full, epsilon))
+    return SoftLabelMatrix(renormalize(full, epsilon, out=full))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def scalar_quant_apply(codec: ScalarQuantCodec, labels: SoftLabelMatrix) -> np.n
 def scalar_quant_invert(codec: ScalarQuantCodec, indices: np.ndarray,
                         epsilon: float = RENORM_FLOOR) -> SoftLabelMatrix:
     """Look levels back up and renormalize each row onto the simplex."""
-    return SoftLabelMatrix(renormalize(codec.levels[indices], epsilon))
+    return SoftLabelMatrix(renormalize(levels := codec.levels[indices], epsilon, out=levels))
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +156,9 @@ def pca_compress(labels: SoftLabelMatrix, codec: PcaCodec) -> np.ndarray:
 
 def pca_decompress(projections: np.ndarray, codec: PcaCodec,
                    epsilon: float = RENORM_FLOOR) -> SoftLabelMatrix:
-    recon = codec.mean + np.asarray(projections) @ codec.components
-    return SoftLabelMatrix(renormalize(recon, epsilon))
+    recon = np.asarray(projections) @ codec.components
+    recon += codec.mean
+    return SoftLabelMatrix(renormalize(recon, epsilon, out=recon))
 
 
 def pca_reconstruct_raw(labels: SoftLabelMatrix, codec: PcaCodec) -> np.ndarray:

@@ -260,6 +260,8 @@ def cache_loss_and_grads(batch, model: VqaeModel, config: TrainConfig):
     Returns (losses, grads) where losses has keys total/vq/rec and grads has
     keys encoder/decoder/codebook.
     """
+    if model.decoder.dtype != np.float64:   # a model read from a file computes on its float64 upcast
+        model = VqaeModel(model.encoder, model.decoder.astype(np.float64), model.codebook.astype(np.float64))
     losses, grads, _ = _cache_loss_grads_aux(batch, model, config)
     return losses, grads
 
@@ -358,11 +360,12 @@ def fit(labels: SoftLabelMatrix | np.ndarray, d_h: int, d_c: int, k: int,
                                    f"{init_model.d_h}, {init_model.d_c}, {init_model.k}), "
                                    f"expected {dims}")
     rng = np.random.default_rng(config.seed)
-    init = _init_model(Y, d_h, d_c, k, rng, config.init_scale) if init_model is None else init_model
-    # float64 working copies, also of a model read from a file
-    params = {"encoder": _encoder(init).copy(), "decoder": init.decoder.astype(np.float64),
-              "codebook": init.codebook.astype(np.float64)}
-    model = VqaeModel(**params)   # keeps the arrays, so it sees every in-place update
+    if init_model is None:   # AdamW updates the fresh model's own arrays in place
+        model = _init_model(Y, d_h, d_c, k, rng, config.init_scale)
+    else:   # or float64 working copies, also of a model read from a file
+        model = VqaeModel(_encoder(init_model).copy(), init_model.decoder.astype(np.float64),
+                          init_model.codebook.astype(np.float64))
+    params = {"encoder": model.encoder, "decoder": model.decoder, "codebook": model.codebook}
     opt = AdamW({name: params[name] for name in trainable},
                 lr=config.lr, weight_decay=config.weight_decay)
     trace = TrainTrace()
@@ -421,29 +424,29 @@ def compress(labels: SoftLabelMatrix | np.ndarray, model: VqaeModel) -> np.ndarr
     return indices
 
 
-def _decode_codes(indices, model: VqaeModel) -> np.ndarray:
-    """The one decode path for VQ codes: check, look up, decode (no renormalize),
-    in the decoder's dtype."""
+def _decode_codes(indices, model: VqaeModel, epsilon: float | None = None) -> np.ndarray:
+    """The one decode path for VQ codes: check, look up, decode in the decoder's
+    dtype and, given ``epsilon``, renormalize into a float64 output."""
     indices = _check_codes(indices, model)
     blocks = _row_blocks(indices.shape[0], model.d_h)
-    # One gather buffer serves every block. It is made before the output: made
-    # after it, a loop that kept every output page-faulted a fresh buffer per call.
-    dtype = model.decoder.dtype
-    h_hat = np.empty((blocks[-1].stop - blocks[-1].start, model.m, model.d_c), dtype=dtype)
-    out = np.empty((indices.shape[0], model.c), dtype=dtype)
+    rows, dtype = blocks[-1].stop - blocks[-1].start, model.decoder.dtype
+    # One gather buffer serves every block, and one block buffer a float32 decode renormalized a
+    # block at a time; any other decode lands in the output's rows. Both come before the output:
+    # made after it, a loop that kept every output page-faulted fresh buffers per call.
+    h_hat = np.empty((rows, model.m, model.d_c), dtype=dtype)
+    staged = np.empty((rows, model.c), dtype=dtype) if epsilon is not None and dtype != np.float64 else None
+    out = np.empty((indices.shape[0], model.c), dtype=dtype if epsilon is None else np.float64)
     for s in blocks:
-        decode(_code_rows(indices[s], model, out=h_hat[:s.stop - s.start]), model, out=out[s])
-    return out
+        decoded = decode(_code_rows(indices[s], model, out=h_hat[:s.stop - s.start]), model,
+                         out=out[s] if staged is None else staged[:s.stop - s.start])
+        if staged is not None:
+            renormalize(decoded, epsilon, out=out[s])
+    return out if epsilon is None or staged is not None else renormalize(out, epsilon, out=out)
 
 
 def decompress(indices: np.ndarray, model: VqaeModel, epsilon: float = RENORM_FLOOR) -> SoftLabelMatrix:
-    """Reconstruct soft labels from code indices: lookup, decode, renormalize.
-
-    The labels are float64: a float64 decode is renormalized in place, a
-    float32 one into a new float64 buffer."""
-    decoded = _decode_codes(indices, model)
-    in_place = decoded.dtype == np.float64
-    return SoftLabelMatrix(renormalize(decoded, epsilon, out=decoded if in_place else None))
+    """Reconstruct float64 soft labels from code indices: lookup, decode, renormalize."""
+    return SoftLabelMatrix(_decode_codes(indices, model, epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +503,5 @@ def topk_then_vq_compress(labels: SoftLabelMatrix, model: TopkVqModel):
 
 def topk_then_vq_decompress(vq_indices, class_indices, model: TopkVqModel) -> SoftLabelMatrix:
     """Decode values, scatter them back to their classes, renormalize."""
-    values = _decode_codes(vq_indices, model.vqae)
-    return SoftLabelMatrix(renormalize(topk_scatter(values, class_indices, model.num_classes),
-                                       model.epsilon))
+    full = topk_scatter(_decode_codes(vq_indices, model.vqae), class_indices, model.num_classes)
+    return SoftLabelMatrix(renormalize(full, model.epsilon, out=full))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slvq import vqae
 from slvq.labels import SoftLabelMatrix
 from slvq.optim import BLOCK, AdamW
 from slvq.vqae import (
@@ -218,6 +219,26 @@ class TestFitOwnsOneModel:
                             lambda model: (built.append(model), post_init(model)))
         fit(random_labels(rng, 64, 8), 4, 2, 4, quick_config(max_steps=50))
         assert len(built) <= 3   # the init, the trained model and the returned model
+
+    def test_trains_the_fresh_model_in_place(self, rng, monkeypatch):
+        built, init_model = [], vqae._init_model
+
+        def recorded_init(*args):
+            built.append(init_model(*args))
+            return built[-1]
+
+        monkeypatch.setattr(vqae, "_init_model", recorded_init)
+        model, _ = fit(random_labels(rng, 64, 8), 4, 2, 4, quick_config(max_steps=5))
+        for name in ("encoder", "decoder", "codebook"):
+            assert getattr(model, name) is getattr(built[0], name)
+
+    def test_init_model_left_unchanged(self, rng):
+        init, _ = fit(random_labels(rng, 64, 8), 4, 2, 4, quick_config(max_steps=5))
+        before = [arr.copy() for arr in (init.encoder, init.decoder, init.codebook)]
+        model, _ = fit(random_labels(rng, 64, 8), 4, 2, 4, quick_config(max_steps=20), init_model=init)
+        for name, arr in zip(("encoder", "decoder", "codebook"), before):
+            np.testing.assert_array_equal(getattr(init, name), arr)
+            assert not np.array_equal(getattr(model, name), arr)
 
     def test_diverging_update_is_a_training_error(self, rng):
         # the first update moves every weight by lr; the decay then overflows

@@ -9,19 +9,27 @@ import math
 import numpy as np
 import pytest
 
+from slvq import baselines
 from slvq.harness import cache_teacher_labels, init_mlp, make_task, mean_entropy, mean_kl
-from slvq.labels import SIMPLEX_ATOL, SimplexReport, SimplexViolation, stable_softmax, validate_simplex
+from slvq.labels import (SIMPLEX_ATOL, SimplexReport, SimplexViolation, _row_blocks, stable_softmax,
+                         validate_simplex)
 from slvq.vqae import (
+    TopkVqModel,
     TrainConfig,
     VqaeModel,
     _reinit_dead_codes,
     _sample_segments,
     cache_loss_and_grads,
+    decompress,
     quantize_latent,
     renormalize,
+    topk_scatter,
+    topk_then_vq_compress,
+    topk_then_vq_decompress,
 )
 
 from conftest import random_labels, traced_peak
+from test_row_blocks import paper_model, reference_decompress
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +262,78 @@ class TestPeakAllocation:
     def test_renormalize_holds_only_its_output(self, matrices):
         _, peak = traced_peak(renormalize, matrices[0].data - 1e-4)
         assert peak <= 1.05 * M
+
+
+# ---------------------------------------------------------------------------
+# Every label decoder fills one float64 n x c array, the one it returns
+# ---------------------------------------------------------------------------
+
+def raw_decode(indices, model):
+    return model.codebook[indices].reshape(indices.shape[0], model.d_h) @ model.decoder
+
+
+def decompress_case(decode_dtype):
+    """5,000 x 1000 indices of a paper-shape model: five 2**20-element row blocks."""
+    rng = np.random.default_rng(11)
+    model = paper_model(rng)
+    model = VqaeModel(None, model.decoder.astype(decode_dtype), model.codebook.astype(decode_dtype))
+    indices = rng.integers(0, model.k, size=(5000, model.m))
+    assert len(_row_blocks(indices.shape[0], model.d_h)) == 5
+    expected = (reference_decompress(indices, model) if decode_dtype == np.float64
+                else reference_renormalize(raw_decode(indices, model)))
+    return decompress, (indices, model), expected, 1.25
+
+
+def desk_labels(rng):
+    """4,000 x 100 desk-shape labels."""
+    return random_labels(rng, 4000, 100, alpha=0.3)
+
+
+def topk_case():
+    archive = baselines.topk_compress(desk_labels(np.random.default_rng(12)), 10)
+    expected = reference_renormalize(topk_scatter(archive.values, archive.class_indices, 100))
+    return baselines.topk_decompress, (archive,), expected, 1.15
+
+
+def pca_case():
+    labels = desk_labels(np.random.default_rng(13))
+    codec = baselines.pca_fit(labels, 20)
+    projections = baselines.pca_compress(labels, codec)
+    expected = reference_renormalize(codec.mean + projections @ codec.components)
+    return baselines.pca_decompress, (projections, codec), expected, 1.15
+
+
+def scalar_quant_case():
+    labels = desk_labels(np.random.default_rng(14))
+    codec = baselines.scalar_quant_fit(labels, 4, iterations=10)
+    indices = baselines.scalar_quant_apply(codec, labels)
+    expected = reference_renormalize(codec.levels[indices])
+    return baselines.scalar_quant_invert, (codec, indices), expected, 1.15
+
+
+def topk_then_vq_case():
+    rng = np.random.default_rng(15)
+    vqae = VqaeModel(rng.uniform(-1, 1, size=(10, 20)), rng.uniform(-1, 1, size=(20, 10)) / 4,
+                     rng.uniform(-1, 1, size=(16, 5)))
+    model = TopkVqModel(10, 100, vqae)
+    vq_indices, classes = topk_then_vq_compress(desk_labels(rng), model)
+    expected = reference_renormalize(topk_scatter(raw_decode(vq_indices, vqae), classes, 100))
+    return topk_then_vq_decompress, (vq_indices, classes, model), expected, 1.15
+
+
+DECODERS = {
+    "decompress_float64": lambda: decompress_case(np.float64),
+    "decompress_float32": lambda: decompress_case(np.float32),
+    "topk_decompress": topk_case,
+    "pca_decompress": pca_case,
+    "scalar_quant_invert": scalar_quant_case,
+    "topk_then_vq_decompress": topk_then_vq_case,
+}
+
+
+@pytest.mark.parametrize("name", list(DECODERS))
+def test_decoder_renormalizes_into_its_output(name):
+    decoder, args, expected, bound = DECODERS[name]()
+    labels, peak = traced_peak(decoder, *args)
+    assert_same_bits(labels.data, expected)
+    assert peak <= bound * labels.data.nbytes

@@ -6,7 +6,7 @@ import pytest
 
 from slvq.archive import (decompress_vqae_archive, read_archive, read_model, vqae_archive, write_archive,
                           write_model)
-from slvq.vqae import TrainConfig, VqaeModel, compress, decompress, fit, refit_decoder
+from slvq.vqae import TrainConfig, VqaeModel, cache_loss_and_grads, compress, decompress, fit, refit_decoder
 
 from conftest import random_labels
 
@@ -109,3 +109,14 @@ class TestSameBitsAsFloat64:
         got, want = refit_decoder(labels, model), refit_decoder(labels, upcast(model))
         for name in ("encoder", "decoder", "codebook"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("mode", ["straight_through", "literal_stop_gradient"])
+    def test_loss_and_gradients(self, paper, mode):
+        labels, model = paper
+        config = TrainConfig(gradient_mode=mode)
+        got, got_grads = cache_loss_and_grads(labels.data[:64], model, config)
+        want, want_grads = cache_loss_and_grads(labels.data[:64], upcast(model), config)
+        assert got == want
+        for name, grad in want_grads.items():
+            assert got_grads[name].dtype == np.float64
+            assert got_grads[name].tobytes() == grad.tobytes()
